@@ -466,10 +466,11 @@ let perf_cmd =
     "Run the pingpong perf gate: measure SkyBridge direct-call cycles \
      under TLB pressure with the translation-acceleration structures on \
      and off, write BENCH_pingpong.json, and fail if cycles-per-call \
-     (accel on) exceeds the budget in bench/budgets.json by more than \
-     2%, or if acceleration does not beat the cache-free walker. The \
-     JSON on stdout is byte-deterministic, so CI diffs two same-seed \
-     runs to catch nondeterminism."
+     or host minor words per call (accel on) exceeds its budget in \
+     bench/budgets.json by more than 2%, or if acceleration does not \
+     beat the cache-free walker. The JSON on stdout is \
+     byte-deterministic, so CI diffs two same-seed runs to catch \
+     nondeterminism."
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
@@ -502,22 +503,29 @@ let perf_cmd =
         cpc_off;
       exit 1
     end;
-    if Sys.file_exists budgets then
-      match budget_of ~file:budgets ~section:"pingpong" ~key:"cycles_per_call" with
+    (* Each budgeted metric fails the gate above its budget + 2%. *)
+    let gate ~key ~unit measured =
+      match budget_of ~file:budgets ~section:"pingpong" ~key with
       | None ->
-        Printf.eprintf "perf: no pingpong.cycles_per_call budget in %s\n" budgets;
+        Printf.eprintf "perf: no pingpong.%s budget in %s\n" key budgets;
         exit 1
       | Some budget ->
         let limit = budget * 102 / 100 in
-        if cpc > limit then begin
+        if measured > limit then begin
           Printf.eprintf
-            "perf: REGRESSION: %d cycles/call exceeds budget %d (+2%% = %d)\n"
-            cpc budget limit;
+            "perf: REGRESSION: %d %s exceeds budget %d (+2%% = %d)\n"
+            measured unit budget limit;
           exit 1
         end
         else
-          Printf.eprintf "perf: %d cycles/call within budget %d (+2%% = %d)\n"
-            cpc budget limit
+          Printf.eprintf "perf: %d %s within budget %d (+2%% = %d)\n"
+            measured unit budget limit
+    in
+    if Sys.file_exists budgets then begin
+      gate ~key:"cycles_per_call" ~unit:"cycles/call" cpc;
+      gate ~key:"words_per_call" ~unit:"minor words/call"
+        r.Sky_experiments.Exp_pingpong.words_per_call
+    end
     else Printf.eprintf "perf: %s not found; skipping budget gate\n" budgets
   in
   Cmd.v (Cmd.info "perf" ~doc)

@@ -10,7 +10,12 @@
     lines enabled, once with {!Sky_sim.Accel} disabled (the cache-free
     reference walker). The gap is exactly the cycles the acceleration
     structures save; `skybench perf` gates cycles-per-call against
-    bench/budgets.json and CI diffs two same-seed runs for determinism. *)
+    bench/budgets.json and CI diffs two same-seed runs for determinism.
+
+    The host clock is gated through a deterministic proxy: the minor-heap
+    words the accelerated calls allocate ([words_per_call], a
+    [Gc.minor_words] delta — exact for one binary on one domain, with
+    tracing and fault injection off). *)
 
 open Sky_ukernel
 open Sky_harness
@@ -24,6 +29,7 @@ type result = {
   ept_wc_hits : int;
   ept_wc_misses : int;
   hot_line_hits : int;
+  words_per_call : int;  (** host minor-heap words per call, accel on *)
 }
 
 let iters_warm = 50
@@ -77,9 +83,11 @@ let measure () =
   let wc_h0 = read Sky_sim.Pmu.Ept_walk_cache_hit
   and wc_m0 = read Sky_sim.Pmu.Ept_walk_cache_miss in
   let hl0 = read Sky_sim.Pmu.Hot_line_hit in
+  let w0 = Gc.minor_words () in
   for _ = 1 to iters do
     one ()
   done;
+  let words = Gc.minor_words () -. w0 in
   {
     cycles_per_call = (Sky_sim.Cpu.cycles cpu - t0) / iters;
     cycles_per_call_noaccel = 0 (* filled by [run_result] *);
@@ -89,6 +97,7 @@ let measure () =
     ept_wc_hits = read Sky_sim.Pmu.Ept_walk_cache_hit - wc_h0;
     ept_wc_misses = read Sky_sim.Pmu.Ept_walk_cache_miss - wc_m0;
     hot_line_hits = read Sky_sim.Pmu.Hot_line_hit - hl0;
+    words_per_call = int_of_float words / iters;
   }
 
 (* The cross-backend view of the same measured window: total per-call
@@ -158,6 +167,7 @@ let table r =
         Printf.sprintf "%.1f" (pct_hit r.ept_wc_hits r.ept_wc_misses);
       ];
       [ "hot line hits"; Tbl.fmt_int r.hot_line_hits ];
+      [ "host minor words/call (accel on)"; Tbl.fmt_int r.words_per_call ];
     ]
 
 let to_json r =
@@ -165,8 +175,9 @@ let to_json r =
     "{\"experiment\":\"pingpong\",\"cycles_per_call\":%d,\
      \"cycles_per_call_noaccel\":%d,\"walk_cycles_per_call\":%d,\
      \"psc_hits\":%d,\"psc_misses\":%d,\"ept_wc_hits\":%d,\
-     \"ept_wc_misses\":%d,\"hot_line_hits\":%d}"
+     \"ept_wc_misses\":%d,\"hot_line_hits\":%d,\"words_per_call\":%d}"
     r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
     r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.hot_line_hits
+    r.words_per_call
 
 let run () = table (run_result ())

@@ -85,6 +85,13 @@ let read_u64 t pa =
   let b = get_frame t (frame_of_addr pa) in
   Bytes.get_int64_le b (pa land (frame_size - 1))
 
+let read_u63 t pa =
+  check_range t pa 8;
+  if not (aligned pa 8) then
+    invalid_arg (Printf.sprintf "Phys_mem.read_u63: unaligned %#x" pa);
+  let b = get_frame t (frame_of_addr pa) in
+  Int64.to_int (Bytes.get_int64_le b (pa land (frame_size - 1)))
+
 let write_u64 t pa v =
   check_range t pa 8;
   if not (aligned pa 8) then

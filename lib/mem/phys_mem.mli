@@ -44,6 +44,12 @@ val read_u64 : t -> int -> int64
     8-byte aligned and in range; raises [Invalid_argument] otherwise.
     May cross nothing: a u64 never spans frames given alignment. *)
 
+val read_u63 : t -> int -> int
+(** [read_u63 mem pa] is [Int64.to_int (read_u64 mem pa)]: bits 0..62 of
+    the word, bit 63 dropped, returned unboxed. A function returning
+    [int64] boxes its result on every call; page walkers, which only
+    need the low bits of an entry, read through this instead. *)
+
 val write_u64 : t -> int -> int64 -> unit
 
 val read_bytes : t -> int -> int -> bytes

@@ -169,6 +169,36 @@ let walk ~mem ~root_pa ~gpa =
   in
   go root_pa 3 []
 
+let charge_read cpu epa =
+  if epa >= 0 then Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa
+
+(* The hot nested-walk step. Entries are read unboxed, and the
+   addresses of the up to three upper-level entries read so far ride in
+   [r3 r2 r1] ([-1]: not read) instead of a list, so the walk allocates
+   nothing. Like [walk], it charges the reads only once the walk
+   succeeds, root first. *)
+let rec translate_from cpu mem gpa table level r3 r2 r1 =
+  let epa = entry_pa table (idx ~level gpa) in
+  let w = Sky_mem.Phys_mem.read_u63 mem epa in
+  if not (Pte.w_present w) then raise (Ept_violation (Ept_not_present gpa))
+  else if level = 0 || Pte.w_huge w then begin
+    charge_read cpu r3;
+    charge_read cpu r2;
+    charge_read cpu r1;
+    charge_read cpu epa;
+    let mask = (1 lsl entry_shift level) - 1 in
+    (Pte.w_addr w land lnot mask) lor (gpa land mask)
+  end
+  else
+    let next = Pte.w_addr w in
+    match level with
+    | 3 -> translate_from cpu mem gpa next 2 epa (-1) (-1)
+    | 2 -> translate_from cpu mem gpa next 1 r3 epa (-1)
+    | _ -> translate_from cpu mem gpa next 0 r3 r2 epa
+
+let translate ~cpu ~mem ~root_pa ~gpa =
+  translate_from cpu mem gpa root_pa 3 (-1) (-1) (-1)
+
 let walk_flags ~mem ~root_pa ~gpa =
   let rec go table level =
     let epa = entry_pa table (idx ~level gpa) in

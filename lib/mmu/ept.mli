@@ -92,6 +92,16 @@ type walk_result = {
 
 val walk :
   mem:Sky_mem.Phys_mem.t -> root_pa:int -> gpa:int -> (walk_result, fault) result
+(** The uncharged walk, for checkers and tests; the MMU uses
+    {!translate}. *)
+
+val translate :
+  cpu:Sky_sim.Cpu.t -> mem:Sky_mem.Phys_mem.t -> root_pa:int -> gpa:int -> int
+(** The hardware nested-walk step: the HPA {!walk} would return, with
+    one cached data access charged on [cpu] per entry in its
+    [entries_read], in that order. Raises {!Ept_violation} on a
+    not-present entry, having charged nothing — the reads are charged
+    only once the walk succeeds. Allocates nothing on success. *)
 
 val walk_flags :
   mem:Sky_mem.Phys_mem.t ->

@@ -49,3 +49,13 @@ let decode v =
 
 let is_present v = test v 0
 let zero = 0L
+
+(* Allocation-free view for walkers: [w] is an entry's bits 0..62 as
+   read by [Phys_mem.read_u63]. NX (bit 63) is not among them; [nx_at]
+   reads it from the entry's top byte. *)
+let w_present w = w land 1 <> 0
+let w_writable w = w land 2 <> 0
+let w_user w = w land 4 <> 0
+let w_huge w = w land 0x80 <> 0
+let w_addr w = w land 0x000F_FFFF_FFFF_F000
+let nx_at mem epa = Sky_mem.Phys_mem.read_u8 mem (epa + 7) land 0x80 <> 0

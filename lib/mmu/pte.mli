@@ -40,3 +40,22 @@ val zero : int64
 (** The not-present entry. *)
 
 val addr_mask : int64
+
+(** {2 Allocation-free view}
+
+    {!decode} builds a tuple and a record, and {!Sky_mem.Phys_mem.read_u64}
+    boxes the word. Hot walkers instead read an entry with
+    {!Sky_mem.Phys_mem.read_u63} (bits 0..62 as an unboxed [int]) and
+    test it with these. *)
+
+val w_present : int -> bool
+val w_writable : int -> bool
+val w_user : int -> bool
+val w_huge : int -> bool
+
+val w_addr : int -> int
+(** The frame address (bits 12..51), as {!decode} returns it. *)
+
+val nx_at : Sky_mem.Phys_mem.t -> int -> bool
+(** [nx_at mem epa]: bit 63 of the entry at [epa], which does not fit in
+    the [int] view. *)

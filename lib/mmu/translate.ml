@@ -7,6 +7,11 @@ let data_read = { kind = Sky_sim.Memsys.Data; write = false }
 let data_write = { kind = Sky_sim.Memsys.Data; write = true }
 let fetch = { kind = Sky_sim.Memsys.Insn; write = false }
 
+(* Everything on the path below is a toplevel function over explicit
+   arguments. A local [let rec] or a [fun] capturing its environment
+   would build a closure on every call; with tracing and faults off, a
+   TLB hit, a refill and every nested walk allocate nothing. *)
+
 (* Translate a guest-physical address through the current EPT, charging
    one cached data access per EPT entry read. Identity when the vCPU is
    not virtualized.
@@ -22,164 +27,149 @@ let ept_translate vcpu mem gpa =
   | Some vmcs ->
     let root_pa = Vmcs.current_eptp vmcs in
     let cpu = Vcpu.cpu vcpu in
-    let walk_charged () =
-      match Ept.walk ~mem ~root_pa ~gpa with
-      | Ok { Ept.hpa; entries_read } ->
-        List.iter
-          (fun epa -> Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa)
-          entries_read;
-        hpa
-      | Error f -> raise (Ept.Ept_violation f)
-    in
-    if not (Sky_sim.Accel.is_enabled ()) then walk_charged ()
+    if not (Sky_sim.Accel.is_enabled ()) then Ept.translate ~cpu ~mem ~root_pa ~gpa
     else begin
       let wc = Sky_sim.Cpu.ept_walk_cache cpu in
       let pmu = Sky_sim.Cpu.pmu cpu in
       let gpn = gpa lsr 12 in
-      match Sky_sim.Psc.lookup wc ~asid:root_pa ~key:gpn with
-      | Some hpn ->
+      let hpn = Sky_sim.Psc.lookup wc ~asid:root_pa ~key:gpn in
+      if hpn >= 0 then begin
         Sky_sim.Pmu.count pmu Sky_sim.Pmu.Ept_walk_cache_hit;
         (hpn lsl 12) lor (gpa land 0xfff)
-      | None ->
+      end
+      else begin
         Sky_sim.Pmu.count pmu Sky_sim.Pmu.Ept_walk_cache_miss;
-        let hpa = walk_charged () in
+        let hpa = Ept.translate ~cpu ~mem ~root_pa ~gpa in
         Sky_sim.Psc.insert wc ~asid:root_pa ~key:gpn (hpa lsr 12);
         hpa
+      end
     end
 
-(* Nested guest walk: each guest table page is located through the EPT,
-   then the entry is read with a cached access.
+let check_perms vcpu acc ~va ~writable ~user ~nx =
+  let user_mode = match vcpu.Vcpu.mode with Vcpu.User -> true | Vcpu.Kernel -> false in
+  if user_mode && not user then
+    raise (Page_table.Page_fault (Page_table.Protection va));
+  if acc.write && not writable then
+    raise (Page_table.Page_fault (Page_table.Protection va));
+  match acc.kind with
+  | Sky_sim.Memsys.Insn when nx ->
+    raise (Page_table.Page_fault (Page_table.Protection va))
+  | _ -> ()
 
-   The paging-structure caches (PML4E/PDPTE/PDE) let the walk resume at
-   the deepest level whose next-table pointer is cached for this ASID
-   and VA prefix — a PDE hit turns a 4-level nested walk into a single
-   leaf read. Probes charge no cycles (they model on-core lookup
-   structures); only the remaining entry reads and their EPT
-   translations go through the memory system. Each level read on the
-   way down is installed, mirroring how hardware fills these caches. *)
-let guest_walk vcpu mem ~va =
-  let cpu = Vcpu.cpu vcpu in
+(* The cache holding pointers to tables at [level], and its key. *)
+let psc_for cpu level =
+  match level with
+  | 0 -> Sky_sim.Cpu.psc_pde cpu
+  | 1 -> Sky_sim.Cpu.psc_pdpte cpu
+  | _ -> Sky_sim.Cpu.psc_pml4e cpu
+
+let psc_key ~va level = va lsr (21 + (9 * level))
+
+(* Nested guest walk from the table at [table_gpa] ([level] 3 = PML4):
+   each guest table page is located through the EPT, then the entry is
+   read with a cached access. Each level read on the way down is
+   installed in the paging-structure caches, mirroring how hardware
+   fills them. The leaf's permissions are checked against [acc]; the
+   result is the leaf entry (bits 0..62, see {!Pte.w_addr}). *)
+let rec walk_from vcpu cpu mem acc ~accel ~asid ~va table_gpa level =
+  let table_hpa = ept_translate vcpu mem table_gpa in
+  let epa = table_hpa + (Page_table.va_index ~level va * 8) in
+  Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa;
+  let w = Sky_mem.Phys_mem.read_u63 mem epa in
+  if not (Pte.w_present w) then
+    raise (Page_table.Page_fault (Page_table.Not_present va))
+  else if level = 0 then begin
+    check_perms vcpu acc ~va ~writable:(Pte.w_writable w) ~user:(Pte.w_user w)
+      ~nx:(Pte.nx_at mem epa);
+    w
+  end
+  else begin
+    let pa = Pte.w_addr w in
+    if accel then
+      Sky_sim.Psc.insert (psc_for cpu (level - 1)) ~asid ~key:(psc_key ~va (level - 1)) pa;
+    walk_from vcpu cpu mem acc ~accel ~asid ~va pa (level - 1)
+  end
+
+(* The paging-structure caches (PDE, then PDPTE, then PML4E) let the
+   walk resume at the deepest level whose next-table pointer is cached
+   for this ASID and VA prefix — a PDE hit turns a 4-level nested walk
+   into a single leaf read. Probes charge no cycles (they model on-core
+   lookup structures). *)
+let rec resume vcpu cpu mem acc ~asid ~va level =
+  let pmu = Sky_sim.Cpu.pmu cpu in
+  if level = 3 then begin
+    Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_miss;
+    walk_from vcpu cpu mem acc ~accel:true ~asid ~va vcpu.Vcpu.cr3 3
+  end
+  else
+    let table = Sky_sim.Psc.lookup (psc_for cpu level) ~asid ~key:(psc_key ~va level) in
+    if table >= 0 then begin
+      Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
+      walk_from vcpu cpu mem acc ~accel:true ~asid ~va table level
+    end
+    else resume vcpu cpu mem acc ~asid ~va (level + 1)
+
+let guest_walk vcpu cpu mem acc ~va =
   (* Fault site "mmu.walk": a spurious EPT violation (or crash) injected
      into the nested walk — only fires inside a mediated-call scope. *)
   if Sky_faults.Fault.is_enabled () then
     Sky_faults.Fault.inject ~core:(Sky_sim.Cpu.id cpu) "mmu.walk";
-  let accel = Sky_sim.Accel.is_enabled () in
   let asid = Vcpu.asid vcpu in
-  let psc_for level =
-    (* The cache holding pointers to tables at [level]. *)
-    match level with
-    | 0 -> Sky_sim.Cpu.psc_pde cpu
-    | 1 -> Sky_sim.Cpu.psc_pdpte cpu
-    | _ -> Sky_sim.Cpu.psc_pml4e cpu
-  in
-  let key_for level = va lsr (21 + (9 * level)) in
-  let rec go table_gpa level =
-    let table_hpa = ept_translate vcpu mem table_gpa in
-    let index = Page_table.va_index ~level va in
-    let epa = table_hpa + (index * 8) in
-    Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa;
-    let e = Sky_mem.Phys_mem.read_u64 mem epa in
-    if not (Pte.is_present e) then
-      raise (Page_table.Page_fault (Page_table.Not_present va))
-    else
-      let pa, flags = Pte.decode e in
-      if level = 0 then (pa, flags)
-      else begin
-        if accel then Sky_sim.Psc.insert (psc_for (level - 1)) ~asid
-            ~key:(key_for (level - 1)) pa;
-        go pa (level - 1)
-      end
-  in
-  if not accel then go vcpu.Vcpu.cr3 3
-  else begin
-    let pmu = Sky_sim.Cpu.pmu cpu in
-    match Sky_sim.Psc.lookup (psc_for 0) ~asid ~key:(key_for 0) with
-    | Some pt ->
-      Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-      go pt 0
-    | None -> (
-      match Sky_sim.Psc.lookup (psc_for 1) ~asid ~key:(key_for 1) with
-      | Some pd ->
-        Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-        go pd 1
-      | None -> (
-        match Sky_sim.Psc.lookup (psc_for 2) ~asid ~key:(key_for 2) with
-        | Some pdpt ->
-          Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-          go pdpt 2
-        | None ->
-          Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_miss;
-          go vcpu.Vcpu.cr3 3))
-  end
+  if Sky_sim.Accel.is_enabled () then resume vcpu cpu mem acc ~asid ~va 0
+  else walk_from vcpu cpu mem acc ~accel:false ~asid ~va vcpu.Vcpu.cr3 3
 
-let check_perms vcpu acc ~va (flags : Pte.flags) =
-  let user_mode = vcpu.Vcpu.mode = Vcpu.User in
-  if user_mode && not flags.Pte.user then
-    raise (Page_table.Page_fault (Page_table.Protection va));
-  if acc.write && not flags.Pte.writable then
-    raise (Page_table.Page_fault (Page_table.Protection va));
-  if acc.kind = Sky_sim.Memsys.Insn && flags.Pte.nx then
-    raise (Page_table.Page_fault (Page_table.Protection va))
+(* A TLB entry carries the flattened leaf permissions (no NX). *)
+let serve_hit vcpu acc ~va tlb i =
+  check_perms vcpu acc ~va ~writable:(Sky_sim.Tlb.writable tlb i)
+    ~user:(Sky_sim.Tlb.user tlb i) ~nx:false;
+  (Sky_sim.Tlb.ppn tlb i lsl 12) lor (va land 0xfff)
 
-(* A TLB entry carries the flattened leaf permissions; reconstruct the
-   flags view a hit checks against. *)
-let serve_hit vcpu acc ~va (entry : Sky_sim.Tlb.entry) =
-  let flags =
-    {
-      Pte.present = true;
-      writable = entry.Sky_sim.Tlb.writable;
-      user = entry.Sky_sim.Tlb.user;
-      huge = false;
-      nx = false;
-    }
-  in
-  check_perms vcpu acc ~va flags;
-  (entry.Sky_sim.Tlb.ppn lsl 12) lor (va land 0xfff)
+let refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn =
+  let c0 = Sky_sim.Cpu.cycles cpu in
+  let w = guest_walk vcpu cpu mem acc ~va in
+  let page_hpa = ept_translate vcpu mem (Pte.w_addr w) in
+  Sky_sim.Tlb.insert tlb ~asid ~vpn ~ppn:(page_hpa lsr 12)
+    ~writable:(Pte.w_writable w) ~user:(Pte.w_user w);
+  Sky_sim.Pmu.add (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Walk_cycles
+    (Sky_sim.Cpu.cycles cpu - c0);
+  page_hpa lor (va land 0xfff)
+
+(* The span's thunk is only built when tracing is on. *)
+let traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:(Sky_sim.Cpu.id cpu) ~cat:"walk" "tlb.refill"
+      (fun () -> refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn)
+  else refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
 
 let translate vcpu mem acc ~va =
   let cpu = Vcpu.cpu vcpu in
-  let insn = acc.kind = Sky_sim.Memsys.Insn in
+  let insn = match acc.kind with Sky_sim.Memsys.Insn -> true | Sky_sim.Memsys.Data -> false in
   let tlb = if insn then Sky_sim.Cpu.itlb cpu else Sky_sim.Cpu.dtlb cpu in
   let vpn = va lsr 12 in
   let asid = Vcpu.asid vcpu in
-  let refill () =
-    let core = Sky_sim.Cpu.id cpu in
-    Sky_trace.Trace.span ~core ~cat:"walk" "tlb.refill" @@ fun () ->
-    let c0 = Sky_sim.Cpu.cycles cpu in
-    let page_gpa, flags = guest_walk vcpu mem ~va in
-    check_perms vcpu acc ~va flags;
-    let page_hpa = ept_translate vcpu mem page_gpa in
-    Sky_sim.Tlb.insert tlb ~asid ~vpn
-      {
-        Sky_sim.Tlb.ppn = page_hpa lsr 12;
-        page_shift = 12;
-        writable = flags.Pte.writable;
-        user = flags.Pte.user;
-      };
-    Sky_sim.Pmu.add (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Walk_cycles
-      (Sky_sim.Cpu.cycles cpu - c0);
-    page_hpa lor (va land 0xfff)
-  in
-  if not (Sky_sim.Accel.is_enabled ()) then
-    match Sky_sim.Tlb.lookup tlb ~asid ~vpn with
-    | Some entry -> serve_hit vcpu acc ~va entry
-    | None -> refill ()
+  if not (Sky_sim.Accel.is_enabled ()) then begin
+    let i = Sky_sim.Tlb.lookup tlb ~asid ~vpn in
+    if i >= 0 then serve_hit vcpu acc ~va tlb i
+    else traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
+  end
   else begin
     (* Host fast path: revalidate the hot line remembered for this
        (core, side, vpn). Success is observably identical to a TLB hit
        (same counters, LRU and zero charged cycles) but skips the set
-       scan and this function's setup on the OCaml side. *)
+       scan. *)
     let line = Sky_sim.Memsys.Hotline.line_for ~core:(Sky_sim.Cpu.id cpu) ~insn ~vpn in
-    match Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn with
-    | Some entry ->
+    let i = Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn in
+    if i >= 0 then begin
       Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Hot_line_hit;
-      serve_hit vcpu acc ~va entry
-    | None -> (
-      match Sky_sim.Tlb.lookup_slot tlb ~asid ~vpn with
-      | Some slot ->
-        Sky_sim.Memsys.Hotline.record line ~tlb ~slot ~asid ~vpn;
-        serve_hit vcpu acc ~va (Sky_sim.Tlb.slot_entry slot)
-      | None -> refill ())
+      serve_hit vcpu acc ~va tlb i
+    end
+    else
+      let i = Sky_sim.Tlb.lookup tlb ~asid ~vpn in
+      if i >= 0 then begin
+        Sky_sim.Memsys.Hotline.record line ~tlb ~slot:i ~asid ~vpn;
+        serve_hit vcpu acc ~va tlb i
+      end
+      else traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
   end
 
 let accessed vcpu mem acc ~va =
@@ -200,31 +190,29 @@ let write_u64 vcpu mem ~va v =
 
 (* Iterate a virtual range page by page, giving [f] the HPA and length of
    each in-page chunk, charging one cached access per 64-byte line. *)
-let iter_range vcpu mem acc ~va ~len f =
-  let cpu = Vcpu.cpu vcpu in
-  let rec go va off remaining =
-    if remaining > 0 then begin
-      let in_page = 4096 - (va land 0xfff) in
-      let n = min remaining in_page in
-      let hpa = translate vcpu mem acc ~va in
-      Sky_sim.Memsys.touch_range cpu acc.kind ~pa:hpa ~len:n;
-      f ~hpa ~off ~len:n;
-      go (va + n) (off + n) (remaining - n)
-    end
-  in
-  go va 0 len
+let rec iter_range vcpu mem acc ~va ~len f off =
+  if len > 0 then begin
+    let n = min len (4096 - (va land 0xfff)) in
+    let hpa = translate vcpu mem acc ~va in
+    Sky_sim.Memsys.touch_range (Vcpu.cpu vcpu) acc.kind ~pa:hpa ~len:n;
+    f ~hpa ~off ~len:n;
+    iter_range vcpu mem acc ~va:(va + n) ~len:(len - n) f (off + n)
+  end
 
 let read_bytes vcpu mem ~va ~len =
   let dst = Bytes.create len in
-  iter_range vcpu mem data_read ~va ~len (fun ~hpa ~off ~len ->
-      Sky_mem.Phys_mem.blit_to mem ~src_pa:hpa ~dst ~dst_off:off ~len);
+  iter_range vcpu mem data_read ~va ~len
+    (fun ~hpa ~off ~len ->
+      Sky_mem.Phys_mem.blit_to mem ~src_pa:hpa ~dst ~dst_off:off ~len)
+    0;
   dst
 
 let write_bytes vcpu mem ~va src =
   iter_range vcpu mem data_write ~va ~len:(Bytes.length src)
     (fun ~hpa ~off ~len ->
       Sky_mem.Phys_mem.blit_from mem ~src ~src_off:off ~dst_pa:hpa ~len)
+    0
 
 let touch vcpu mem acc ~va ~len =
   if len > 0 then
-    iter_range vcpu mem acc ~va ~len (fun ~hpa:_ ~off:_ ~len:_ -> ())
+    iter_range vcpu mem acc ~va ~len (fun ~hpa:_ ~off:_ ~len:_ -> ()) 0

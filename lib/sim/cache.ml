@@ -45,15 +45,17 @@ let sets t = t.sets
 let ways t = t.ways
 let line_bytes t = t.line_bytes
 
-(* Allocation-free slot search: [-1] for miss. *)
+(* Slot search: [-1] for miss. A toplevel function over explicit
+   arguments, so a probe builds no closure; [tags] is annotated so the
+   comparison is an integer compare, not polymorphic [caml_equal]. *)
+let rec find_from (tags : int array) i stop tag =
+  if i = stop then -1
+  else if tags.(i) = tag then i
+  else find_from tags (i + 1) stop tag
+
 let find_slot t set tag =
   let base = set * t.ways in
-  let rec go w =
-    if w = t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+  find_from t.tags base (base + t.ways) tag
 
 let access t pa =
   t.clock <- t.clock + 1;

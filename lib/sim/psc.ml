@@ -5,9 +5,10 @@
     miss resumes the page walk at the deepest cached level, and a nested
     walk cache so the EPT translations of guest table pages skip the EPT
     walk. All four are the same structure: a set-associative ASID-tagged
-    map from an integer key to an integer payload. We reuse {!Tlb}'s
-    storage (payload in [entry.ppn]) so they inherit its LRU policy and
-    its O(1) generation/epoch-based invalidation for free. *)
+    map from an integer key to a non-negative integer payload. We reuse
+    {!Tlb}'s storage (payload in the slot's [ppn]) so they inherit its
+    LRU policy and its O(1) generation/epoch-based invalidation for
+    free. *)
 
 type t = Tlb.t
 
@@ -15,13 +16,11 @@ let create ~name ~entries ~ways = Tlb.create ~name ~entries ~ways
 let name = Tlb.name
 
 let lookup t ~asid ~key =
-  match Tlb.lookup t ~asid ~vpn:key with
-  | Some e -> Some e.Tlb.ppn
-  | None -> None
+  let i = Tlb.lookup t ~asid ~vpn:key in
+  if i >= 0 then Tlb.ppn t i else -1
 
 let insert t ~asid ~key value =
-  Tlb.insert t ~asid ~vpn:key
-    { Tlb.ppn = value; page_shift = 0; writable = false; user = false }
+  Tlb.insert t ~asid ~vpn:key ~ppn:value ~writable:false ~user:false
 
 let flush_all = Tlb.flush_all
 let flush_asid = Tlb.flush_asid

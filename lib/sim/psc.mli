@@ -1,7 +1,7 @@
 (** Paging-structure caches (PML4E / PDPTE / PDE) and the EPT walk
     cache: set-associative, LRU, ASID-tagged maps from an integer key
-    (a virtual-address prefix, or a guest page number) to an integer
-    payload (the next table's GPA, or a host page number). Backed by
+    (a virtual-address prefix, or a guest page number) to a non-negative
+    integer payload (the next table's GPA, or a host page number). Backed by
     {!Tlb} storage, so flushes are O(1) and global mapping mutations
     invalidate them lazily via {!Accel}. *)
 
@@ -10,10 +10,13 @@ type t
 val create : name:string -> entries:int -> ways:int -> t
 val name : t -> string
 
-val lookup : t -> asid:int -> key:int -> int option
-(** Hit updates LRU state and the hit counter; miss counts a miss. *)
+val lookup : t -> asid:int -> key:int -> int
+(** The payload, or [-1] on a miss (no [option], so a probe allocates
+    nothing). Hit updates LRU state and the hit counter; miss counts a
+    miss. *)
 
 val insert : t -> asid:int -> key:int -> int -> unit
+(** [insert t ~asid ~key v] with [v >= 0]. *)
 
 val flush_all : t -> unit
 (** O(1) generation bump. *)

@@ -1,18 +1,21 @@
-type entry = { ppn : int; page_shift : int; writable : bool; user : bool }
-
 (* A slot is live iff
      valid  &&  gen = t.gen  &&  stamp > asid_floor(asid)  &&  epoch fresh.
    [flush_all] bumps [t.gen] (O(1)); [flush_asid] records the current
    LRU clock as that ASID's "floor", deadening every older stamp (O(1));
    a global [Accel] epoch change invalidates the whole structure lazily.
-   Nothing ever iterates the slot array on a flush. *)
+   Nothing ever iterates the slot array on a flush.
+
+   The payload lives in the slot itself and callers address slots by
+   index, so lookups, hits and inserts allocate nothing. *)
 type slot = {
   mutable valid : bool;
   mutable gen : int;
   mutable asid : int;
   mutable vpn : int;
   mutable stamp : int;
-  mutable entry : entry;
+  mutable ppn : int;
+  mutable writable : bool;
+  mutable user : bool;
 }
 
 type t = {
@@ -28,8 +31,6 @@ type t = {
   mutable misses : int;
 }
 
-let dummy_entry = { ppn = 0; page_shift = 12; writable = false; user = false }
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let create ~name ~entries ~ways =
@@ -39,8 +40,8 @@ let create ~name ~entries ~ways =
   if not (is_pow2 sets) then invalid_arg "Tlb.create: sets not pow2";
   let slots =
     Array.init entries (fun _ ->
-        { valid = false; gen = 0; asid = 0; vpn = 0; stamp = 0;
-          entry = dummy_entry })
+        { valid = false; gen = 0; asid = 0; vpn = 0; stamp = 0; ppn = 0;
+          writable = false; user = false })
   in
   { name; sets; ways; slots; asid_floors = Hashtbl.create 7; gen = 0;
     seen_epoch = Accel.current_epoch (); clock = 0; hits = 0; misses = 0 }
@@ -62,86 +63,86 @@ let sync t =
 
 let floor_of t asid =
   if Hashtbl.length t.asid_floors = 0 then min_int
-  else match Hashtbl.find_opt t.asid_floors asid with
-    | Some f -> f
-    | None -> min_int
+  else match Hashtbl.find t.asid_floors asid with
+    | f -> f
+    | exception Not_found -> min_int
 
 let live t s = s.valid && s.gen = t.gen && s.stamp > floor_of t s.asid
 
+(* Toplevel over explicit arguments so a probe builds no closure. *)
+let rec find_from (slots : slot array) w stop ~gen ~asid ~vpn ~floor =
+  if w = stop then -1
+  else
+    let s = slots.(w) in
+    if s.valid && s.gen = gen && s.asid = asid && s.vpn = vpn && s.stamp > floor
+    then w
+    else find_from slots (w + 1) stop ~gen ~asid ~vpn ~floor
+
 let find t ~asid ~vpn =
   let base = set_of t vpn * t.ways in
-  let floor = floor_of t asid in
-  let rec go w =
-    if w = t.ways then None
-    else
-      let s = t.slots.(base + w) in
-      if s.valid && s.gen = t.gen && s.asid = asid && s.vpn = vpn
-         && s.stamp > floor
-      then Some s
-      else go (w + 1)
-  in
-  go 0
-
-let lookup_slot t ~asid ~vpn =
-  sync t;
-  t.clock <- t.clock + 1;
-  match find t ~asid ~vpn with
-  | Some s ->
-    s.stamp <- t.clock;
-    t.hits <- t.hits + 1;
-    Some s
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  find_from t.slots base (base + t.ways) ~gen:t.gen ~asid ~vpn
+    ~floor:(floor_of t asid)
 
 let lookup t ~asid ~vpn =
-  match lookup_slot t ~asid ~vpn with
-  | Some s -> Some s.entry
-  | None -> None
+  sync t;
+  t.clock <- t.clock + 1;
+  let i = find t ~asid ~vpn in
+  if i >= 0 then begin
+    t.slots.(i).stamp <- t.clock;
+    t.hits <- t.hits + 1
+  end
+  else t.misses <- t.misses + 1;
+  i
 
-let slot_entry s = s.entry
+let ppn t i = t.slots.(i).ppn
+let writable t i = t.slots.(i).writable
+let user t i = t.slots.(i).user
 
-(* Hot-line revalidation: the caller remembered [s] from an earlier
+(* Hot-line revalidation: the caller remembered slot [i] from an earlier
    lookup of the same (asid, vpn). If the slot still holds that live
    mapping, replicate the observable effects of a hit (LRU clock,
    stamp, hit counter) without scanning the set. Failure counts
-   nothing — the caller falls back to [lookup_slot], which accounts
-   the access. *)
-let slot_hit t s ~asid ~vpn =
+   nothing — the caller falls back to [lookup], which accounts the
+   access. *)
+let slot_hit t i ~asid ~vpn =
   sync t;
+  let s = t.slots.(i) in
   if s.valid && s.gen = t.gen && s.asid = asid && s.vpn = vpn
      && s.stamp > floor_of t asid
   then begin
     t.clock <- t.clock + 1;
     s.stamp <- t.clock;
     t.hits <- t.hits + 1;
-    Some s.entry
+    true
   end
-  else None
+  else false
 
-let insert t ~asid ~vpn entry =
+let insert t ~asid ~vpn ~ppn ~writable ~user =
   sync t;
   t.clock <- t.clock + 1;
-  match find t ~asid ~vpn with
-  | Some s ->
-    s.entry <- entry;
-    s.stamp <- t.clock
-  | None ->
-    (* Prefer a dead slot, otherwise evict the LRU way. *)
-    let base = set_of t vpn * t.ways in
-    let victim = ref t.slots.(base) in
-    for w = 1 to t.ways - 1 do
-      let s = t.slots.(base + w) in
-      let v = !victim in
-      if live t v && ((not (live t s)) || s.stamp < v.stamp) then victim := s
-    done;
-    let s = !victim in
-    s.valid <- true;
-    s.gen <- t.gen;
-    s.asid <- asid;
-    s.vpn <- vpn;
-    s.entry <- entry;
-    s.stamp <- t.clock
+  let i = find t ~asid ~vpn in
+  let s =
+    if i >= 0 then t.slots.(i)
+    else begin
+      (* Prefer a dead slot, otherwise evict the LRU way. *)
+      let base = set_of t vpn * t.ways in
+      let victim = ref base in
+      for w = base + 1 to base + t.ways - 1 do
+        let s = t.slots.(w) and v = t.slots.(!victim) in
+        if live t v && ((not (live t s)) || s.stamp < v.stamp) then victim := w
+      done;
+      let s = t.slots.(!victim) in
+      s.valid <- true;
+      s.gen <- t.gen;
+      s.asid <- asid;
+      s.vpn <- vpn;
+      s
+    end
+  in
+  s.ppn <- ppn;
+  s.writable <- writable;
+  s.user <- user;
+  s.stamp <- t.clock
 
 let flush_all t =
   sync t;
@@ -156,7 +157,8 @@ let flush_asid t ~asid =
 
 let flush_page t ~asid ~vpn =
   sync t;
-  match find t ~asid ~vpn with Some s -> s.valid <- false | None -> ()
+  let i = find t ~asid ~vpn in
+  if i >= 0 then t.slots.(i).valid <- false
 
 let flush_vpn_all_asids t ~vpn =
   sync t;

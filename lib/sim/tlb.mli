@@ -14,39 +14,39 @@
 
 type t
 
-type entry = {
-  ppn : int;  (** physical page number the VPN maps to *)
-  page_shift : int;  (** 12 for 4 KiB, 21 for 2 MiB, 30 for 1 GiB *)
-  writable : bool;
-  user : bool;
-}
-
-type slot
-(** A handle on the internal storage of one entry, for hot-line
-    memoization: remember the slot a lookup hit and revalidate it with
-    {!slot_hit} instead of re-scanning the set. *)
-
 val create : name:string -> entries:int -> ways:int -> t
 
 val name : t -> string
 val capacity : t -> int
 
-val lookup : t -> asid:int -> vpn:int -> entry option
-(** Hit updates LRU state and the hit counter; miss counts a miss. *)
+(** {2 Slots}
 
-val lookup_slot : t -> asid:int -> vpn:int -> slot option
-(** Like {!lookup} but returns the slot handle on a hit. *)
+    Lookups return the index of the slot holding the entry ([-1] on a
+    miss) and the payload is read through that index, so nothing on the
+    lookup, hit or insert path allocates. Read the payload before the
+    next {!insert} on the same TLB, which may reuse the slot. *)
 
-val slot_entry : slot -> entry
+val lookup : t -> asid:int -> vpn:int -> int
+(** The live slot for (asid, vpn), or [-1]. A hit updates LRU state and
+    the hit counter; a miss counts a miss. *)
 
-val slot_hit : t -> slot -> asid:int -> vpn:int -> entry option
-(** If [slot] still holds a live mapping for (asid, vpn), count a hit,
-    update LRU state and return the entry — observably identical to a
-    {!lookup} hit, without the set scan. Returns [None] (and counts
-    nothing) if the slot was reused, flushed or outlived by a flush;
-    the caller then falls back to {!lookup}/{!lookup_slot}. *)
+val ppn : t -> int -> int
+(** Physical page number the slot's VPN maps to. *)
 
-val insert : t -> asid:int -> vpn:int -> entry -> unit
+val writable : t -> int -> bool
+val user : t -> int -> bool
+
+val slot_hit : t -> int -> asid:int -> vpn:int -> bool
+(** If slot [i] still holds a live mapping for (asid, vpn), count a hit,
+    update LRU state and return [true] — observably identical to a
+    {!lookup} hit, without the set scan. Returns [false] (and counts
+    nothing) if the slot was reused, flushed or outlived by a flush; the
+    caller then falls back to {!lookup}. Used by host hot lines. *)
+
+val insert :
+  t -> asid:int -> vpn:int -> ppn:int -> writable:bool -> user:bool -> unit
+(** Install (or overwrite) the entry for (asid, vpn), evicting a dead
+    slot or the LRU way of its set. *)
 
 val flush_all : t -> unit
 (** O(1): bumps the generation counter. *)

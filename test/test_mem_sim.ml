@@ -216,40 +216,45 @@ let prop_cache_capacity =
 
 let tlb () = Tlb.create ~name:"t" ~entries:8 ~ways:2
 
-let entry ppn = { Tlb.ppn; page_shift = 12; writable = true; user = true }
+(* Insert a user-writable entry; look one up as [Some ppn] or [None]. *)
+let insert t ~asid ~vpn ppn = Tlb.insert t ~asid ~vpn ~ppn ~writable:true ~user:true
+
+let lookup t ~asid ~vpn =
+  let i = Tlb.lookup t ~asid ~vpn in
+  if i < 0 then None else Some (Tlb.ppn t i)
 
 let test_tlb_insert_lookup () =
   let t = tlb () in
-  Alcotest.(check bool) "miss first" true (Tlb.lookup t ~asid:1 ~vpn:5 = None);
-  Tlb.insert t ~asid:1 ~vpn:5 (entry 42);
-  (match Tlb.lookup t ~asid:1 ~vpn:5 with
-  | Some e -> Alcotest.(check int) "ppn" 42 e.Tlb.ppn
+  Alcotest.(check bool) "miss first" true (lookup t ~asid:1 ~vpn:5 = None);
+  insert t ~asid:1 ~vpn:5 42;
+  (match lookup t ~asid:1 ~vpn:5 with
+  | Some ppn -> Alcotest.(check int) "ppn" 42 ppn
   | None -> Alcotest.fail "expected hit");
-  Alcotest.(check bool) "other asid misses" true (Tlb.lookup t ~asid:2 ~vpn:5 = None)
+  Alcotest.(check bool) "other asid misses" true (lookup t ~asid:2 ~vpn:5 = None)
 
 let test_tlb_flush_asid () =
   let t = tlb () in
-  Tlb.insert t ~asid:1 ~vpn:1 (entry 1);
-  Tlb.insert t ~asid:2 ~vpn:1 (entry 2);
+  insert t ~asid:1 ~vpn:1 1;
+  insert t ~asid:2 ~vpn:1 2;
   Tlb.flush_asid t ~asid:1;
-  Alcotest.(check bool) "asid1 flushed" true (Tlb.lookup t ~asid:1 ~vpn:1 = None);
-  Alcotest.(check bool) "asid2 kept" true (Tlb.lookup t ~asid:2 ~vpn:1 <> None)
+  Alcotest.(check bool) "asid1 flushed" true (lookup t ~asid:1 ~vpn:1 = None);
+  Alcotest.(check bool) "asid2 kept" true (lookup t ~asid:2 ~vpn:1 <> None)
 
 let test_tlb_flush_all () =
   let t = tlb () in
-  Tlb.insert t ~asid:1 ~vpn:1 (entry 1);
+  insert t ~asid:1 ~vpn:1 1;
   Tlb.flush_all t;
-  Alcotest.(check bool) "flushed" true (Tlb.lookup t ~asid:1 ~vpn:1 = None)
+  Alcotest.(check bool) "flushed" true (lookup t ~asid:1 ~vpn:1 = None)
 
 let test_tlb_eviction () =
   let t = tlb () in
   (* 4 sets x 2 ways; vpns 0,4,8 share set 0. *)
-  Tlb.insert t ~asid:0 ~vpn:0 (entry 0);
-  Tlb.insert t ~asid:0 ~vpn:4 (entry 4);
-  ignore (Tlb.lookup t ~asid:0 ~vpn:0);
-  Tlb.insert t ~asid:0 ~vpn:8 (entry 8);
-  Alcotest.(check bool) "lru (vpn 4) evicted" true (Tlb.lookup t ~asid:0 ~vpn:4 = None);
-  Alcotest.(check bool) "mru kept" true (Tlb.lookup t ~asid:0 ~vpn:0 <> None)
+  insert t ~asid:0 ~vpn:0 0;
+  insert t ~asid:0 ~vpn:4 4;
+  ignore (lookup t ~asid:0 ~vpn:0);
+  insert t ~asid:0 ~vpn:8 8;
+  Alcotest.(check bool) "lru (vpn 4) evicted" true (lookup t ~asid:0 ~vpn:4 = None);
+  Alcotest.(check bool) "mru kept" true (lookup t ~asid:0 ~vpn:0 <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Cpu / Machine / Memsys                                              *)

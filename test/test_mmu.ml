@@ -35,6 +35,21 @@ let prop_pte_roundtrip =
       let pa', flags' = Pte.decode (Pte.encode ~pa flags) in
       pa = pa' && flags = flags')
 
+(* The unboxed view a walker reads ([Phys_mem.read_u63] + [Pte.nx_at])
+   says what [decode] says. *)
+let prop_pte_word_view =
+  QCheck.Test.make ~name:"pte word view agrees with decode" ~count:200
+    QCheck.(tup5 (int_bound 0xffffff) bool bool bool (pair bool bool))
+    (fun (frame, w, u, h, (nx, present)) ->
+      let mem = Phys_mem.create ~frames:1 in
+      let flags = { Pte.present; writable = w; user = u; huge = h; nx } in
+      Phys_mem.write_u64 mem 8 (Pte.encode ~pa:(frame * 4096) flags);
+      let pa, f = Pte.decode (Phys_mem.read_u64 mem 8) in
+      let word = Phys_mem.read_u63 mem 8 in
+      Pte.w_addr word = pa && Pte.w_present word = f.Pte.present
+      && Pte.w_writable word = f.Pte.writable && Pte.w_user word = f.Pte.user
+      && Pte.w_huge word = f.Pte.huge && Pte.nx_at mem 8 = f.Pte.nx)
+
 (* ------------------------------------------------------------------ *)
 (* Page_table                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -385,7 +400,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_pte_roundtrip;
           Alcotest.test_case "absent" `Quick test_pte_absent;
         ]
-        @ qc [ prop_pte_roundtrip ] );
+        @ qc [ prop_pte_roundtrip; prop_pte_word_view ] );
       ( "page_table",
         [
           Alcotest.test_case "map/walk" `Quick test_pt_map_walk;

@@ -137,6 +137,230 @@ let prop_accel_equals_reference =
       | Some msg -> QCheck.Test.fail_report msg)
 
 (* ------------------------------------------------------------------ *)
+(* The charged EPT step against the list-returning walk                 *)
+(* ------------------------------------------------------------------ *)
+
+(* GPA regions: inside the first GiB (identity-mapped by 1 GiB pages
+   when [huge]), just past it, and under a different PML4 entry. *)
+let ept_regions = [| 0x20_0000; 0x4000_0000; 0x80_0000_0000 |]
+
+let ept_gpa (region, page, off) =
+  ept_regions.(region mod Array.length ept_regions) + (page * 4096) + off
+
+let charged_reads cpu =
+  let l1d = Cpu.l1d cpu in
+  Cache.hits l1d + Cache.misses l1d
+
+(* Random EPT shapes (empty, or 1 GiB identity pages split on demand)
+   under random 4 KiB map/unmap; every probe must agree with
+   [Ept.walk] on the HPA, charge exactly one data access per entry it
+   lists on success, and charge nothing on a violation. *)
+let prop_ept_translate_matches_walk =
+  QCheck.Test.make
+    ~name:"Ept.translate == Ept.walk, reads charged only on success"
+    ~count:100
+    QCheck.(
+      triple bool
+        (list_of_size (Gen.int_range 0 30)
+           (quad (int_bound 2) (int_bound 2) (int_bound 31) (int_bound 63)))
+        (list_of_size (Gen.int_range 1 40)
+           (triple (int_bound 2) (int_bound 31) (int_bound 4095))))
+    (fun (huge, muts, probes) ->
+      let machine = Machine.create ~cores:1 ~mem_mib:64 () in
+      let mem = machine.Machine.mem and alloc = machine.Machine.alloc in
+      let cpu = Machine.core machine 0 in
+      let ept = Ept.create alloc in
+      if huge then Ept.map_identity_1g ept ~mem ~alloc ~gib:1;
+      List.iter
+        (fun (op, region, page, target) ->
+          let gpa = ept_gpa (region, page, 0) in
+          match op with
+          | 0 -> Ept.unmap_4k ept ~mem ~alloc ~gpa
+          | _ -> Ept.map_4k ept ~mem ~alloc ~gpa ~hpa:(0x10_0000 + (target * 4096)))
+        muts;
+      let root_pa = Ept.root_pa ept in
+      List.for_all
+        (fun probe ->
+          let gpa = ept_gpa probe in
+          let reads0 = charged_reads cpu and c0 = Cpu.cycles cpu in
+          let got =
+            match Ept.translate ~cpu ~mem ~root_pa ~gpa with
+            | hpa -> Ok hpa
+            | exception Ept.Ept_violation f -> Error f
+          in
+          let reads = charged_reads cpu - reads0 in
+          match (Ept.walk ~mem ~root_pa ~gpa, got) with
+          | Ok r, Ok hpa ->
+            hpa = r.Ept.hpa && reads = List.length r.Ept.entries_read
+          | Error f, Error f' -> f = f' && reads = 0 && Cpu.cycles cpu = c0
+          | _ -> false)
+        probes)
+
+(* ------------------------------------------------------------------ *)
+(* Counters: accel on vs off, and pinned values                         *)
+(* ------------------------------------------------------------------ *)
+
+let with_accel enabled f =
+  let saved = Accel.is_enabled () in
+  Accel.set_enabled enabled;
+  Fun.protect ~finally:(fun () -> Accel.set_enabled saved) f
+
+let accel_events =
+  Pmu.[ Psc_hit; Psc_miss; Ept_walk_cache_hit; Ept_walk_cache_miss; Hot_line_hit; Walk_cycles ]
+
+let all_events =
+  Pmu.[ Ipi_sent; Vm_exit; Vmfunc_exec; Syscall_exec; Cr3_write; Ipc_roundtrip;
+        Instruction; Wrpkru_exec ]
+  @ accel_events
+
+(* Everything a translation can move: cycles, the PMU vector, and the
+   hit/miss counts of every cache, TLB and paging-structure cache. *)
+let counters w =
+  let cpu = Vcpu.cpu w.vcpu in
+  let pmu = Cpu.pmu cpu in
+  let hm name h m = Printf.sprintf "%s=%d/%d" name h m in
+  let cache name c = hm name (Cache.hits c) (Cache.misses c) in
+  let tlb name t = hm name (Tlb.hits t) (Tlb.misses t) in
+  let psc name p = hm name (Psc.hits p) (Psc.misses p) in
+  String.concat " "
+    ([ Printf.sprintf "cycles=%d" (Cpu.cycles cpu) ]
+    @ List.map (fun ev -> Printf.sprintf "%s=%d" (Pmu.name ev) (Pmu.read pmu ev)) all_events
+    @ [
+        cache "l1i" (Cpu.l1i cpu); cache "l1d" (Cpu.l1d cpu); cache "l2" (Cpu.l2 cpu);
+        cache "l3" (Cpu.l3 cpu); tlb "itlb" (Cpu.itlb cpu); tlb "dtlb" (Cpu.dtlb cpu);
+        psc "pml4e" (Cpu.psc_pml4e cpu); psc "pdpte" (Cpu.psc_pdpte cpu);
+        psc "pde" (Cpu.psc_pde cpu); psc "ept_wc" (Cpu.ept_walk_cache cpu);
+      ])
+
+(* The counters accel must not move: the leaf TLBs (a hot-line hit is a
+   TLB hit) and every PMU event outside the acceleration ones. *)
+let accel_invariant_counters w =
+  let cpu = Vcpu.cpu w.vcpu in
+  let pmu = Cpu.pmu cpu in
+  ( Tlb.hits (Cpu.itlb cpu), Tlb.misses (Cpu.itlb cpu),
+    Tlb.hits (Cpu.dtlb cpu), Tlb.misses (Cpu.dtlb cpu),
+    List.filter_map
+      (fun ev -> if List.mem ev accel_events then None else Some (Pmu.read pmu ev))
+      all_events )
+
+(* Run [ops] on a fresh world; the outcome of every translation in
+   order, and the world for its counters. *)
+let run_ops ops =
+  let w = mk_world () in
+  let outcomes = ref [] in
+  List.iter
+    (fun ((tag, a, _, c) as op) ->
+      if tag mod 8 = 7 then begin
+        let va = vas.(a mod Array.length vas) in
+        let acc = if c land 1 = 1 then Translate.data_write else Translate.data_read in
+        outcomes := outcome (fun () -> Translate.translate w.vcpu w.mem acc ~va) :: !outcomes
+      end
+      else apply w (ref None) op)
+    ops;
+  (List.rev !outcomes, w)
+
+let op_gen =
+  QCheck.(
+    list_of_size (Gen.int_range 1 60)
+      (quad (int_bound 7) (int_bound 15) (int_bound 15) (int_bound 15)))
+
+let prop_accel_on_off_counters =
+  QCheck.Test.make ~name:"accel on/off: same outcomes, TLB and non-accel PMU counts"
+    ~count:60 op_gen
+    (fun ops ->
+      let on_, w_on = with_accel true (fun () -> run_ops ops) in
+      let off, w_off = with_accel false (fun () -> run_ops ops) in
+      on_ = off && accel_invariant_counters w_on = accel_invariant_counters w_off)
+
+(* A fixed op sequence, counters pinned to the values the walker
+   produced before its hot path was made allocation-free: the rewrite
+   must be bit-identical in simulated behaviour, accel on and off. *)
+let pinned_ops =
+  let rng = Rng.create ~seed:12 in
+  List.init (Array.length vas) (fun i -> (0, i, i, 0))
+  @ List.init 400 (fun _ ->
+      let tag = if Rng.int rng 8 = 0 then Rng.int rng 7 else 7 in
+      (tag, Rng.int rng 16, Rng.int rng 16, Rng.int rng 16))
+
+let pinned_on =
+  "77dbd3867ab356ed9d1e7dcc555af0e5 | "
+  ^ "cycles=14214 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=242 psc_miss=50 ept_walk_cache_hit=262 ept_walk_cache_miss=231 hot_line_hit=54 walk_cycles=3596 l1i=0/0 l1d=1096/202 l2=175/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=35/50 pdpte=40/85 pde=167/125 ept_wc=262/231"
+
+let pinned_off =
+  "77dbd3867ab356ed9d1e7dcc555af0e5 | "
+  ^ "cycles=30534 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=0 psc_miss=0 ept_walk_cache_hit=0 ept_walk_cache_miss=0 hot_line_hit=0 walk_cycles=4972 l1i=0/0 l1d=5098/228 l2=201/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=0/0 pdpte=0/0 pde=0/0 ept_wc=0/0"
+
+let test_pinned_counters () =
+  let digest enabled =
+    with_accel enabled (fun () ->
+        let outcomes, w = run_ops pinned_ops in
+        Printf.sprintf "%s | %s" (Digest.to_hex (Digest.string (String.concat "," outcomes)))
+          (counters w))
+  in
+  Alcotest.(check string) "accel on" pinned_on (digest true);
+  Alcotest.(check string) "accel off" pinned_off (digest false)
+
+(* ------------------------------------------------------------------ *)
+(* The hot path allocates nothing                                       *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Pingpong's rig: a virtualized kernel (nested walks through the
+   Rootkernel's EPT), a user process with a 96-page working set —
+   beyond the 64-entry dTLB, so a sweep refills on every page. *)
+let ws_pages = 96
+
+let pingpong_rig () =
+  let open Sky_ukernel in
+  let machine = Machine.create ~cores:2 ~mem_mib:128 () in
+  let kernel = Kernel.create machine in
+  ignore (Sky_core.Subkernel.init kernel);
+  let client = Kernel.spawn kernel ~name:"client" in
+  let ws = Kernel.map_anon kernel client (ws_pages * 4096) in
+  Kernel.context_switch kernel ~core:0 client;
+  let vcpu = Kernel.vcpu kernel ~core:0 in
+  Vcpu.set_mode vcpu Vcpu.User;
+  (vcpu, Kernel.mem kernel, ws)
+
+let check_no_alloc name f =
+  Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (minor_words f)
+
+let test_hot_path_allocates_nothing () =
+  Alcotest.(check bool) "tracing off" false (Sky_trace.Trace.is_enabled ());
+  Alcotest.(check bool) "faults off" false (Sky_faults.Fault.is_enabled ());
+  check_no_alloc "empty thunk" (fun () -> ());
+  let run accel =
+    with_accel accel @@ fun () ->
+    let vcpu, mem, ws = pingpong_rig () in
+    let cpu = Vcpu.cpu vcpu in
+    let dtlb = Cpu.dtlb cpu in
+    let xlate page = ignore (Translate.translate vcpu mem Translate.data_read ~va:(ws + (page * 4096))) in
+    let sweep n = for i = 0 to n - 1 do xlate (i mod ws_pages) done in
+    (* Warm: materialize frames, grow tables, fill the caches. *)
+    sweep (3 * ws_pages);
+    let label s = Printf.sprintf "accel %b: %s" accel s in
+    let l1d = Cpu.l1d cpu in
+    check_no_alloc (label "10k Cache.access") (fun () ->
+        for i = 0 to 9_999 do
+          ignore (Cache.access l1d ((i land 1023) * 64))
+        done);
+    let hits0 = Tlb.hits dtlb in
+    check_no_alloc (label "1k TLB-hit translates") (fun () ->
+        for i = 0 to 999 do xlate (i land 7) done);
+    Alcotest.(check bool) (label "those were hits") true (Tlb.hits dtlb - hits0 >= 992);
+    sweep ws_pages;
+    let misses0 = Tlb.misses dtlb in
+    check_no_alloc (label "1k refill translates") (fun () -> sweep 1000);
+    Alcotest.(check int) (label "every one refilled") 1000 (Tlb.misses dtlb - misses0)
+  in
+  run true;
+  run false
+
+(* ------------------------------------------------------------------ *)
 (* Targeted regressions                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -231,32 +455,37 @@ let test_hot_line_across_vmfunc () =
 (* Tlb / Psc flush-path units (the O(1) generation/floor machinery)     *)
 (* ------------------------------------------------------------------ *)
 
-let e ppn = { Tlb.ppn; page_shift = 12; writable = true; user = true }
+(* Insert a user-writable entry; look one up as [Some ppn] or [None]. *)
+let insert t ~asid ~vpn ppn = Tlb.insert t ~asid ~vpn ~ppn ~writable:true ~user:true
+
+let lookup t ~asid ~vpn =
+  let i = Tlb.lookup t ~asid ~vpn in
+  if i < 0 then None else Some (Tlb.ppn t i)
 
 let test_tlb_flush_all_then_reuse () =
   let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
-  Tlb.insert t ~asid:1 ~vpn:5 (e 100);
-  Tlb.insert t ~asid:2 ~vpn:9 (e 200);
+  insert t ~asid:1 ~vpn:5 100;
+  insert t ~asid:2 ~vpn:9 200;
   Tlb.flush_all t;
-  Alcotest.(check bool) "asid1 gone" true (Tlb.lookup t ~asid:1 ~vpn:5 = None);
-  Alcotest.(check bool) "asid2 gone" true (Tlb.lookup t ~asid:2 ~vpn:9 = None);
+  Alcotest.(check bool) "asid1 gone" true (lookup t ~asid:1 ~vpn:5 = None);
+  Alcotest.(check bool) "asid2 gone" true (lookup t ~asid:2 ~vpn:9 = None);
   (* Slots are reusable after the generation bump. *)
-  Tlb.insert t ~asid:1 ~vpn:5 (e 300);
+  insert t ~asid:1 ~vpn:5 300;
   Alcotest.(check bool) "reinsert lives" true
-    (Tlb.lookup t ~asid:1 ~vpn:5 = Some (e 300))
+    (lookup t ~asid:1 ~vpn:5 = Some 300)
 
 let test_tlb_flush_asid_is_selective () =
   let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
-  Tlb.insert t ~asid:1 ~vpn:5 (e 100);
-  Tlb.insert t ~asid:2 ~vpn:5 (e 200);
+  insert t ~asid:1 ~vpn:5 100;
+  insert t ~asid:2 ~vpn:5 200;
   Tlb.flush_asid t ~asid:1;
-  Alcotest.(check bool) "asid1 flushed" true (Tlb.lookup t ~asid:1 ~vpn:5 = None);
+  Alcotest.(check bool) "asid1 flushed" true (lookup t ~asid:1 ~vpn:5 = None);
   Alcotest.(check bool) "asid2 survives" true
-    (Tlb.lookup t ~asid:2 ~vpn:5 = Some (e 200));
+    (lookup t ~asid:2 ~vpn:5 = Some 200);
   (* A fresh insert under the flushed ASID must not be floored away. *)
-  Tlb.insert t ~asid:1 ~vpn:5 (e 300);
+  insert t ~asid:1 ~vpn:5 300;
   Alcotest.(check bool) "post-flush insert lives" true
-    (Tlb.lookup t ~asid:1 ~vpn:5 = Some (e 300))
+    (lookup t ~asid:1 ~vpn:5 = Some 300)
 
 let test_psc_flush_key_all_asids () =
   let p = Psc.create ~name:"p" ~entries:16 ~ways:4 in
@@ -264,14 +493,14 @@ let test_psc_flush_key_all_asids () =
   Psc.insert p ~asid:2 ~key:7 200;
   Psc.insert p ~asid:1 ~key:8 300;
   Psc.flush_key p ~key:7;
-  Alcotest.(check bool) "key 7 asid 1 gone" true (Psc.lookup p ~asid:1 ~key:7 = None);
-  Alcotest.(check bool) "key 7 asid 2 gone" true (Psc.lookup p ~asid:2 ~key:7 = None);
+  Alcotest.(check bool) "key 7 asid 1 gone" true (Psc.lookup p ~asid:1 ~key:7 = -1);
+  Alcotest.(check bool) "key 7 asid 2 gone" true (Psc.lookup p ~asid:2 ~key:7 = -1);
   Alcotest.(check bool) "key 8 survives" true
-    (Psc.lookup p ~asid:1 ~key:8 = Some 300)
+    (Psc.lookup p ~asid:1 ~key:8 = 300)
 
 let test_accel_toggle_flushes_everything () =
   let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
-  Tlb.insert t ~asid:1 ~vpn:5 (e 100);
+  insert t ~asid:1 ~vpn:5 100;
   let saved = Accel.is_enabled () in
   Fun.protect
     ~finally:(fun () -> Accel.set_enabled saved)
@@ -279,13 +508,20 @@ let test_accel_toggle_flushes_everything () =
       Accel.set_enabled false;
       Accel.set_enabled true);
   Alcotest.(check bool) "epoch bump invalidates" true
-    (Tlb.lookup t ~asid:1 ~vpn:5 = None)
+    (lookup t ~asid:1 ~vpn:5 = None)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "translation"
     [
-      ("equivalence", qc [ prop_accel_equals_reference ]);
+      ("equivalence", qc [ prop_accel_equals_reference; prop_accel_on_off_counters ]);
+      ( "nested_walk",
+        qc [ prop_ept_translate_matches_walk ]
+        @ [ Alcotest.test_case "counters pinned, accel on and off" `Quick
+              test_pinned_counters ] );
+      ( "allocation",
+        [ Alcotest.test_case "hot path allocates nothing" `Quick
+            test_hot_path_allocates_nothing ] );
       ( "staleness",
         [
           Alcotest.test_case "guest unmap faults immediately" `Quick
