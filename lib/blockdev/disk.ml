@@ -13,6 +13,9 @@ type t = {
 
 exception Crash of { writes_completed : int }
 
+exception Disk_error of string
+(** The block server refused a request or sent back a malformed reply. *)
+
 (* Same-process access: device work charged on the calling core. *)
 let direct kernel rd =
   {
@@ -24,43 +27,47 @@ let direct kernel rd =
   }
 
 (* The IPC server side: decode, execute against the RAM disk on the
-   serving core. *)
+   serving core. A Write's block goes from the request message straight
+   into the disk. Malformed or out-of-range requests get a failure reply
+   and touch nothing. *)
 let handler kernel rd : Sky_kernels.Ipc.handler =
  fun ~core msg ->
   let cpu = Sky_ukernel.Kernel.cpu kernel ~core in
-  match Proto.decode_request msg with
-  | Proto.Read blockno -> Proto.encode_read_reply (Ramdisk.read rd cpu blockno)
-  | Proto.Write (blockno, data) ->
-    Ramdisk.write rd cpu blockno data;
+  match Proto.decode_header msg with
+  | exception Proto.Bad_message m -> Proto.error_reply m
+  | _, blockno when not (Ramdisk.in_range rd blockno) ->
+    Proto.error_reply (Printf.sprintf "block %d out of range" blockno)
+  | Proto.Read_op, blockno -> Proto.encode_read_reply (Ramdisk.read rd cpu blockno)
+  | Proto.Write_op, blockno ->
+    Ramdisk.write_from rd cpu blockno msg ~off:Proto.write_payload_off;
     Proto.write_ack
 
-let over_ipc ipc ~client endpoint =
+(* Client side over any request/reply transport: a read must come back
+   as exactly one block and a write as the ack; anything else is a
+   [Disk_error]. *)
+let over_call ~name call =
   {
-    name = "ipc";
+    name;
     read =
       (fun ~core blockno ->
-        Sky_kernels.Ipc.call ipc ~core ~client endpoint
-          (Proto.encode_request (Proto.Read blockno)));
+        let reply = call ~core (Proto.encode_request (Proto.Read blockno)) in
+        if Bytes.length reply <> Ramdisk.block_size then
+          raise (Disk_error (Proto.reply_failure reply));
+        reply);
     write =
       (fun ~core blockno data ->
-        ignore
-          (Sky_kernels.Ipc.call ipc ~core ~client endpoint
-             (Proto.encode_request (Proto.Write (blockno, data)))));
+        let reply = call ~core (Proto.encode_request (Proto.Write (blockno, data))) in
+        if not (Bytes.equal reply Proto.write_ack) then
+          raise (Disk_error (Proto.reply_failure reply)));
   }
 
+let over_ipc ipc ~client endpoint =
+  over_call ~name:"ipc" (fun ~core msg ->
+      Sky_kernels.Ipc.call ipc ~core ~client endpoint msg)
+
 let over_skybridge sb ~client ~server_id =
-  {
-    name = "skybridge";
-    read =
-      (fun ~core blockno ->
-        Sky_core.Subkernel.direct_server_call sb ~core ~client ~server_id
-          (Proto.encode_request (Proto.Read blockno)));
-    write =
-      (fun ~core blockno data ->
-        ignore
-          (Sky_core.Subkernel.direct_server_call sb ~core ~client ~server_id
-             (Proto.encode_request (Proto.Write (blockno, data)))));
-  }
+  over_call ~name:"skybridge" (fun ~core msg ->
+      Sky_core.Subkernel.direct_server_call sb ~core ~client ~server_id msg)
 
 (* Crash injection: the machine "loses power" after [fail_after] more
    block writes — mid-transaction crashes for the log-recovery tests. *)

@@ -23,8 +23,10 @@ let create machine ~nblocks =
   in
   { mem; base_pa; nblocks; reads = 0; writes = 0 }
 
+let in_range t blockno = blockno >= 0 && blockno < t.nblocks
+
 let check t blockno =
-  if blockno < 0 || blockno >= t.nblocks then
+  if not (in_range t blockno) then
     invalid_arg (Printf.sprintf "Ramdisk: block %d out of range" blockno)
 
 (* Per-block device-side work: the block's lines stream through the
@@ -40,13 +42,20 @@ let read t cpu blockno =
   touch cpu t blockno;
   Sky_mem.Phys_mem.read_bytes t.mem (t.base_pa + (blockno * block_size)) block_size
 
-let write t cpu blockno data =
+let write_from t cpu blockno src ~off =
   check t blockno;
-  if Bytes.length data <> block_size then
-    invalid_arg "Ramdisk.write: bad block length";
+  if off < 0 || off > Bytes.length src - block_size then
+    invalid_arg "Ramdisk.write_from: short payload";
   t.writes <- t.writes + 1;
   touch cpu t blockno;
-  Sky_mem.Phys_mem.write_bytes t.mem (t.base_pa + (blockno * block_size)) data
+  Sky_mem.Phys_mem.blit_from t.mem ~src ~src_off:off
+    ~dst_pa:(t.base_pa + (blockno * block_size))
+    ~len:block_size
+
+let write t cpu blockno data =
+  if Bytes.length data <> block_size then
+    invalid_arg "Ramdisk.write: bad block length";
+  write_from t cpu blockno data ~off:0
 
 let nblocks t = t.nblocks
 let reads t = t.reads

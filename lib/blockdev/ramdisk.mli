@@ -18,6 +18,14 @@ val read : t -> Sky_sim.Cpu.t -> int -> bytes
 val write : t -> Sky_sim.Cpu.t -> int -> bytes -> unit
 (** The payload must be exactly one block. *)
 
+val write_from : t -> Sky_sim.Cpu.t -> int -> bytes -> off:int -> unit
+(** [write_from t cpu blockno src ~off] writes the block held at
+    [src.[off .. off + block_size)] in place, with no intermediate copy
+    (the block server writes straight from the request message). *)
+
+val in_range : t -> int -> bool
+(** Whether a block number names a block of this disk. *)
+
 val nblocks : t -> int
 val reads : t -> int
 val writes : t -> int

@@ -10,7 +10,13 @@ type t = {
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
+  missed : int array;
+      (* Line-aligned PAs the last run call missed, in access order: the
+         next level's input. Owned by this cache, never shared, so
+         concurrent simulator worlds cannot see each other's runs. *)
 }
+
+let run_max = 64
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -38,6 +44,7 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     clock = 0;
     hits = 0;
     misses = 0;
+    missed = Array.make run_max 0;
   }
 
 let name t = t.name
@@ -53,13 +60,15 @@ let rec find_from (tags : int array) i stop tag =
   else if tags.(i) = tag then i
   else find_from tags (i + 1) stop tag
 
-let find_slot t set tag =
+let[@inline] find_slot t set tag =
   let base = set * t.ways in
   find_from t.tags base (base + t.ways) tag
 
-let access t pa =
+(* One access to [line] (a line number, [pa lsr index_shift]): bump the
+   LRU clock; on a hit refresh the stamp, on a miss fill the LRU way (or
+   an invalid one); count either. Returns [true] on a hit. *)
+let[@inline] step t line =
   t.clock <- t.clock + 1;
-  let line = pa lsr t.index_shift in
   let set = line land (t.sets - 1) in
   let tag = line lsr t.sets_shift in
   let slot = find_slot t set tag in
@@ -70,7 +79,6 @@ let access t pa =
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Evict LRU way (or fill an invalid one). *)
     let base = set * t.ways in
     let victim = ref base in
     for w = 1 to t.ways - 1 do
@@ -80,6 +88,36 @@ let access t pa =
     t.stamps.(!victim) <- t.clock;
     false
   end
+
+let access t pa = step t (pa lsr t.index_shift)
+
+let access_run t ~pa ~n =
+  if n < 0 || n > run_max then invalid_arg "Cache.access_run: n > run_max";
+  let line0 = pa lsr t.index_shift in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let line = line0 + i in
+    if not (step t line) then begin
+      t.missed.(!m) <- line lsl t.index_shift;
+      incr m
+    end
+  done;
+  !m
+
+(* [n] is at most [src]'s last miss count, so within [run_max]. *)
+let access_missed t ~src ~n =
+  let lines = src.missed in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let pa = lines.(i) in
+    if not (step t (pa lsr t.index_shift)) then begin
+      t.missed.(!m) <- pa;
+      incr m
+    end
+  done;
+  !m
+
+let missed t i = t.missed.(i)
 
 let probe t pa =
   let line = pa lsr t.index_shift in

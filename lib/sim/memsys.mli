@@ -11,20 +11,25 @@ val access : Cpu.t -> kind -> int -> unit
 (** [access cpu kind pa] performs one cached access to the line containing
     physical address [pa]: charges latency, updates miss counters. *)
 
-val access_state_only : Cpu.t -> kind -> int -> unit
-(** Update cache contents and miss counters without charging latency.
-    Used for kernel-path footprints whose execution cost is already
-    covered by a measured constant — the *pollution* is modelled, the
-    cycles are not double-counted. *)
-
 val touch_range_state_only : Cpu.t -> kind -> pa:int -> len:int -> unit
+(** Update cache contents and miss counters for every 64-byte line of
+    [pa, pa+len) without charging latency. Used for kernel-path
+    footprints whose execution cost is already covered by a measured
+    constant — the {e pollution} is modelled, the cycles are not
+    double-counted. *)
 
 val access_uncached : Cpu.t -> unit
 (** A DRAM access that bypasses the hierarchy (device memory). *)
 
 val touch_range : Cpu.t -> kind -> pa:int -> len:int -> unit
 (** Access every 64-byte line of [pa, pa+len) — used to model code or data
-    footprints (e.g. the kernel text executed during an IPC). *)
+    footprints (e.g. the kernel text executed during an IPC).
+
+    Exactly [access] on each line in order, run granular: each chunk of
+    up to {!Cache.run_max} lines goes through L1, L2 and L3 in one call
+    per level, and the core is charged once with the range's summed
+    latency. While {!Sky_faults.Fault.is_enabled} it is the per-line
+    [access] loop, so the ["sim.cycle"] site sees one check per line. *)
 
 (** Host-side hot lines: a flat direct-mapped memo over recent TLB hits,
     keyed by (core, i/d-side, VPN). A successful probe revalidates the

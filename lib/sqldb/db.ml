@@ -20,6 +20,11 @@ type t = {
           — together with the xv6fs big lock — is what collapses the
           YCSB curves as threads are added (Figures 9–11). *)
   mutable txs : int;
+  jhdr : bytes;
+      (** The hot journal header page; only the page number changes per
+          transaction. The FS copies what it writes, so one page per
+          database serves every transaction. *)
+  jcool : bytes;  (** The 64 zero bytes that cool the journal. *)
 }
 
 (* Per-operation CPU work of the SQL layer (parsing, planning, record
@@ -29,6 +34,13 @@ let sql_compute_cycles = 80_000
 let query_compute_cycles = 40_000
 
 let journal_hot_magic = 0x4a524e4c (* "JRNL" *)
+
+let make ~fs ~kernel ~name ~pager ~tree ~journal_inum =
+  let jhdr = Bytes.make Pager.page_size '\000' in
+  Bytes.set_int32_le jhdr 0 (Int32.of_int journal_hot_magic);
+  { fs; kernel; name; pager; tree; journal_inum;
+    db_lock = Sky_ukernel.Lock.create (name ^ "-dblock"); txs = 0;
+    jhdr; jcool = Bytes.make 64 '\000' }
 
 (* Crash recovery: a hot journal means a transaction died mid-write;
    restore the saved page image and cool the journal. *)
@@ -57,8 +69,7 @@ let create kernel fs ~core ~name ~value_size =
   let journal_inum = fs.Sky_xv6fs.Fs_iface.create ~core (name ^ "-jnl") in
   let pager = Pager.create kernel fs ~core ~inum in
   let tree = Btree.create pager ~core ~value_size in
-  { fs; kernel; name; pager; tree; journal_inum;
-    db_lock = Sky_ukernel.Lock.create (name ^ "-dblock"); txs = 0 }
+  make ~fs ~kernel ~name ~pager ~tree ~journal_inum
 
 let open_ kernel fs ~core ~name =
   match fs.Sky_xv6fs.Fs_iface.lookup ~core name with
@@ -73,8 +84,7 @@ let open_ kernel fs ~core ~name =
     ignore (recover kernel fs ~core ~inum ~journal_inum);
     let pager = Pager.create kernel fs ~core ~inum in
     let tree = Btree.open_ pager ~core in
-    { fs; kernel; name; pager; tree; journal_inum;
-      db_lock = Sky_ukernel.Lock.create (name ^ "-dblock"); txs = 0 }
+    make ~fs ~kernel ~name ~pager ~tree ~journal_inum
 
 let compute t ~core cycles = Sky_ukernel.Kernel.user_compute t.kernel ~core ~cycles
 
@@ -98,15 +108,12 @@ let with_tx t ~core ~page f =
   t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:Pager.page_size
     original;
   (* 2. Hot journal header naming the page. *)
-  let jhdr = Bytes.make Pager.page_size '\000' in
-  Bytes.set_int32_le jhdr 0 (Int32.of_int journal_hot_magic);
-  Bytes.set_int32_le jhdr 4 (Int32.of_int page);
-  t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:0 jhdr;
+  Bytes.set_int32_le t.jhdr 4 (Int32.of_int page);
+  t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:0 t.jhdr;
   (* 3. The mutation. *)
   let r = f () in
   (* 4. Commit: cool the journal. *)
-  t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:0
-    (Bytes.make 64 '\000');
+  t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:0 t.jcool;
   r
 
 (* The page an operation will dirty first: its leaf. *)

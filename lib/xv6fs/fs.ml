@@ -254,8 +254,7 @@ let readi t ~core inum ~off ~len =
   go 0;
   out
 
-let writei t ~core inum ~off data =
-  let ino = read_inode t ~core inum in
+let writei_ino t ~core inum ino ~off data =
   let len = Bytes.length data in
   if off + len > max_file_blocks * bsize then raise (Fs_error "file too large");
   let rec go pos =
@@ -275,6 +274,9 @@ let writei t ~core inum ~off data =
     ino.size <- off + len;
     write_inode t ~core inum ino
   end
+
+let writei t ~core inum ~off data =
+  writei_ino t ~core inum (read_inode t ~core inum) ~off data
 
 (* ------------------------------------------------------------------ *)
 (* Directory ops (flat root directory)                                 *)
@@ -367,11 +369,23 @@ let lookup t ~core name =
 let file_size t ~core ~inum =
   with_op t ~core (fun () -> (read_inode t ~core inum).size)
 
+let check_off off =
+  if off < 0 then raise (Fs_error (Printf.sprintf "negative offset %d" off))
+
 let read t ~core ~inum ~off ~len =
+  check_off off;
   with_op t ~core (fun () -> readi t ~core inum ~off ~len)
 
+(* Only regular files take writes through the API: the root directory
+   is written by the directory ops alone, and a free inode owns no
+   blocks. *)
 let write t ~core ~inum ~off data =
-  with_op t ~core (fun () -> writei t ~core inum ~off data)
+  check_off off;
+  with_op t ~core (fun () ->
+      let ino = read_inode t ~core inum in
+      if ino.typ <> T_file then
+        raise (Fs_error (Printf.sprintf "inode %d is not a file" inum));
+      writei_ino t ~core inum ino ~off data)
 
 let free_indirect t ~core blk ~depth =
   let rec go blk depth =

@@ -52,11 +52,13 @@ val lookup : t -> core:int -> string -> int option
 val file_size : t -> core:int -> inum:int -> int
 
 val read : t -> core:int -> inum:int -> off:int -> len:int -> bytes
-(** Short reads past EOF; holes read as zeros. *)
+(** Short reads past EOF; holes read as zeros. A negative [off] raises
+    {!Fs_error}. *)
 
 val write : t -> core:int -> inum:int -> off:int -> bytes -> unit
 (** Extends the file (allocating data/indirect blocks) as needed; the
-    whole call is one committed transaction. *)
+    whole call is one committed transaction. Raises {!Fs_error} for a
+    negative [off] or an inode that is not a regular file. *)
 
 val unlink : t -> core:int -> string -> bool
 (** Remove the directory entry, free every data block and the inode.

@@ -77,29 +77,38 @@ let enc_int v =
   Bytes.set_int32_le b 0 (Int32.of_int v);
   b
 
-(* Server side: decode a request and run it against the local FS. *)
+(* Server side: decode a request and run it against the local FS. Every
+   failure, malformed requests included, is an error reply; nothing
+   escapes into the caller. *)
 let server_handler fs : Sky_kernels.Ipc.handler =
  fun ~core msg ->
   try
-    if Bytes.length msg = 0 then raise (Bad_message "empty request");
-    let name () = Bytes.sub_string msg 1 (Bytes.length msg - 1) in
+    let n = Bytes.length msg in
+    if n = 0 then raise (Bad_message "empty request");
+    let name () = Bytes.sub_string msg 1 (n - 1) in
+    (* The header field at [off], after checking the message holds it. *)
+    let field off =
+      if n < off + 4 then
+        raise (Bad_message (Printf.sprintf "short request (%d bytes)" n));
+      Int32.to_int (Bytes.get_int32_le msg off)
+    in
     match Bytes.get msg 0 with
     | c when c = op_create -> ok_payload (enc_int (Fs.create fs ~core (name ())))
     | c when c = op_lookup ->
       ok_payload
         (enc_int (match Fs.lookup fs ~core (name ()) with Some i -> i | None -> -1))
     | c when c = op_size ->
-      let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
+      let inum = field 1 in
       ok_payload (enc_int (Fs.file_size fs ~core ~inum))
     | c when c = op_read ->
-      let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
-      let off = Int32.to_int (Bytes.get_int32_le msg 5) in
-      let len = Int32.to_int (Bytes.get_int32_le msg 9) in
+      let inum = field 1 in
+      let off = field 5 in
+      let len = field 9 in
       ok_payload (Fs.read fs ~core ~inum ~off ~len)
     | c when c = op_write ->
-      let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
-      let off = Int32.to_int (Bytes.get_int32_le msg 5) in
-      Fs.write fs ~core ~inum ~off (Bytes.sub msg 9 (Bytes.length msg - 9));
+      let inum = field 1 in
+      let off = field 5 in
+      Fs.write fs ~core ~inum ~off (Bytes.sub msg 9 (n - 9));
       ok_payload (enc_int 0)
     | c when c = op_unlink ->
       ok_payload (enc_int (if Fs.unlink fs ~core (name ()) then 1 else 0))
@@ -107,6 +116,8 @@ let server_handler fs : Sky_kernels.Ipc.handler =
   with
   | Fs.Fs_error m -> err m
   | Bad_message m -> err ("bad message: " ^ m)
+  | Log.Log_full -> err "transaction too large for the log"
+  | Sky_blockdev.Disk.Disk_error m -> err ("disk: " ^ m)
 
 (* Client side over any request/reply transport. *)
 let over_call call =

@@ -21,6 +21,9 @@ type t = {
   mutable in_tx : bool;
   mutable commits : int;
   mutable absorbed : int;
+  header : bytes;
+      (** The header block's image, rebuilt in place for each commit: the
+          disk copies what it is given, so one buffer serves them all. *)
 }
 
 let create disk sb bcache =
@@ -33,6 +36,7 @@ let create disk sb bcache =
     in_tx = false;
     commits = 0;
     absorbed = 0;
+    header = Bytes.create bsize;
   }
 
 let max_blocks t = t.sb.Superblock.nlog - 1 (* minus the header block *)
@@ -41,7 +45,11 @@ let begin_op t =
   if t.in_tx then raise Nested_transaction;
   t.in_tx <- true
 
-(* Record a block write in the transaction (xv6's [log_write]). *)
+(* Record a block write in the transaction (xv6's [log_write]). The log
+   takes ownership of [data] rather than copying it. Every caller in
+   Fs hands over a block it made or freshly read ([Log.read] returns a
+   copy) and never touches it again: [writei], [write_inode], [balloc],
+   [bfree] and [indirect_slot]. *)
 let write t blockno data =
   if not t.in_tx then invalid_arg "Log.write outside transaction";
   if Bytes.length data <> bsize then invalid_arg "Log.write: bad length";
@@ -50,14 +58,18 @@ let write t blockno data =
     if Hashtbl.length t.pending >= max_blocks t then raise Log_full;
     t.order <- blockno :: t.order
   end;
-  Hashtbl.replace t.pending blockno (Bytes.copy data)
+  Hashtbl.replace t.pending blockno data
 
-let encode_header blocknos =
-  let b = Bytes.make bsize '\000' in
+let fill_header b blocknos =
+  Bytes.fill b 0 bsize '\000';
   Bytes.set_int32_le b 0 (Int32.of_int (List.length blocknos));
   List.iteri
     (fun i bn -> Bytes.set_int32_le b ((i + 1) * 4) (Int32.of_int bn))
-    blocknos;
+    blocknos
+
+let encode_header blocknos =
+  let b = Bytes.create bsize in
+  fill_header b blocknos;
   b
 
 let decode_header b =
@@ -78,7 +90,8 @@ let end_op t cpu ~core =
           (Hashtbl.find t.pending bn))
       blocknos;
     (* 2. Header — the commit point. *)
-    t.disk.Sky_blockdev.Disk.write ~core (logstart t) (encode_header blocknos);
+    fill_header t.header blocknos;
+    t.disk.Sky_blockdev.Disk.write ~core (logstart t) t.header;
     (* 3. Install to home locations (and refresh the cache). *)
     List.iter
       (fun bn ->
@@ -87,7 +100,8 @@ let end_op t cpu ~core =
         Bcache.put t.bcache cpu bn data)
       blocknos;
     (* 4. Clear the header. *)
-    t.disk.Sky_blockdev.Disk.write ~core (logstart t) (encode_header []);
+    fill_header t.header [];
+    t.disk.Sky_blockdev.Disk.write ~core (logstart t) t.header;
     t.commits <- t.commits + 1
   end;
   Hashtbl.reset t.pending;

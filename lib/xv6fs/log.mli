@@ -25,7 +25,9 @@ val begin_op : t -> unit
 (** @raise Nested_transaction if one is already open. *)
 
 val write : t -> int -> bytes -> unit
-(** Record a block write in the transaction (xv6's [log_write]).
+(** Record a block write in the transaction (xv6's [log_write]). The log
+    takes ownership of the block: the caller must not modify it
+    afterwards.
     @raise Log_full past {!max_blocks} distinct blocks. *)
 
 val read : t -> Sky_sim.Cpu.t -> core:int -> int -> bytes

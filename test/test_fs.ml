@@ -52,6 +52,83 @@ let test_blockdev_proto_roundtrip () =
   | Proto.Write (9, b) -> Alcotest.(check bool) "payload" true (Bytes.equal b block)
   | _ -> Alcotest.fail "write roundtrip"
 
+let gen_block =
+  QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return Ramdisk.block_size)))
+
+let prop_blockdev_proto_roundtrip =
+  let blockno = QCheck.Gen.(map Int32.to_int int32) in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Proto.Read n) blockno;
+          map2 (fun n b -> Proto.Write (n, b)) blockno gen_block;
+        ])
+  in
+  let print = function
+    | Proto.Read n -> Printf.sprintf "Read %d" n
+    | Proto.Write (n, _) -> Printf.sprintf "Write (%d, _)" n
+  in
+  QCheck.Test.make ~name:"proto decode . encode = id" ~count:200
+    (QCheck.make ~print gen)
+    (fun r -> Proto.decode_request (Proto.encode_request r) = r)
+
+(* Arbitrary request bytes: pure noise, or a well-formed header with a
+   block number in range, out of range or negative, and a payload that
+   may be short. *)
+let gen_disk_msg =
+  QCheck.Gen.(
+    oneof
+      [
+        map Bytes.of_string (string_size ~gen:char (int_bound 1100));
+        (let* op = oneofl [ '\001'; '\002'; '\003'; '\000' ] in
+         let* blockno =
+           oneof [ int_bound 5000; return 2147483647; map (fun n -> -n) (int_bound 10) ]
+         in
+         let* plen = oneofl [ 0; 1; Ramdisk.block_size - 1; Ramdisk.block_size; 1100 ] in
+         let b = Bytes.make (5 + plen) 'p' in
+         Bytes.set b 0 op;
+         Bytes.set_int32_le b 1 (Int32.of_int blockno);
+         return b);
+      ])
+
+let prop_disk_handler_total =
+  QCheck.Test.make ~name:"disk handler answers any bytes" ~count:300
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen_disk_msg)
+    (fun msg ->
+      let _, k, rd = setup () in
+      let reply = Disk.handler k rd ~core:0 msg in
+      let ok =
+        Bytes.length reply = Ramdisk.block_size
+        || Bytes.equal reply Proto.write_ack
+        || Bytes.get reply 0 = Proto.error_tag
+      in
+      ok && Ramdisk.reads rd + Ramdisk.writes rd <= 1)
+
+(* The exact requests that used to escape as exceptions, and the typed
+   error the disk client turns the replies into. *)
+let test_blockdev_bad_requests () =
+  let _, k, rd = setup () in
+  let is_error r = Bytes.length r > 0 && Bytes.get r 0 = Proto.error_tag in
+  let read_req n = Proto.encode_request (Proto.Read n) in
+  Alcotest.(check bool) "short request" true (is_error (Disk.handler k rd ~core:0 (Bytes.of_string "\001")));
+  Alcotest.(check bool) "bad opcode" true
+    (is_error (Disk.handler k rd ~core:0 (Bytes.of_string "\009\000\000\000\000")));
+  Alcotest.(check bool) "block 2147483647" true
+    (is_error (Disk.handler k rd ~core:0 (read_req 2147483647)));
+  Alcotest.(check int) "nothing touched" 0 (Ramdisk.reads rd + Ramdisk.writes rd);
+  let ipc = Sky_kernels.Ipc.create k in
+  let server = Kernel.spawn k ~name:"blockdev" in
+  let client = Kernel.spawn k ~name:"fs" in
+  let ep = Sky_kernels.Ipc.register ipc server (Disk.handler k rd) in
+  let disk = Disk.over_ipc ipc ~client ep in
+  (match disk.Disk.read ~core:0 (Ramdisk.nblocks rd) with
+  | _ -> Alcotest.fail "expected Disk_error"
+  | exception Disk.Disk_error _ -> ());
+  match disk.Disk.write ~core:0 (-1) (Bytes.make Ramdisk.block_size 'x') with
+  | () -> Alcotest.fail "expected Disk_error"
+  | exception Disk.Disk_error _ -> ()
+
 let test_blockdev_over_ipc () =
   let machine, k, rd = setup () in
   ignore machine;
@@ -326,6 +403,63 @@ let test_fs_over_ipc () =
     (iface.Fs_iface.lookup ~core:0 "remote");
   Alcotest.(check bool) "unlink" true (iface.Fs_iface.unlink ~core:0 "remote")
 
+(* Arbitrary FS requests: noise, or one of the six opcodes with random
+   header fields (some short), names and payloads. *)
+let gen_fs_msg =
+  QCheck.Gen.(
+    let field = oneof [ int_bound 20; map Int32.to_int int32; return (-1) ] in
+    oneof
+      [
+        map Bytes.of_string (string_size ~gen:char (int_bound 40));
+        (let* op = map Char.chr (int_range 0 7) in
+         let* a = field and* o = field and* l = oneof [ field; int_bound 3000 ] in
+         let* payload = string_size ~gen:char (int_bound 3000) in
+         let* cut = oneof [ return max_int; int_bound 13 ] in
+         let b = Bytes.create (13 + String.length payload) in
+         Bytes.set b 0 op;
+         Bytes.set_int32_le b 1 (Int32.of_int a);
+         Bytes.set_int32_le b 5 (Int32.of_int o);
+         Bytes.set_int32_le b 9 (Int32.of_int l);
+         Bytes.blit_string payload 0 b 13 (String.length payload);
+         return (Bytes.sub b 0 (min cut (Bytes.length b))));
+        (let* op = oneofl [ '\001'; '\002'; '\006' ] in
+         let* name = string_size ~gen:printable (int_bound 20) in
+         return (Bytes.of_string (String.make 1 op ^ name)));
+      ])
+
+let prop_fs_handler_total =
+  QCheck.Test.make ~name:"fs handler answers any bytes" ~count:40
+    (QCheck.make
+       ~print:(fun ms -> String.concat " | " (List.map (fun b -> String.escaped (Bytes.to_string b)) ms))
+       QCheck.Gen.(list_size (int_range 1 12) gen_fs_msg))
+    (fun msgs ->
+      let _, _, _, fs = mkmount () in
+      let handler = Fs_iface.server_handler fs in
+      let replies = List.map (fun m -> handler ~core:0 m) msgs in
+      (* Every reply is tagged ok (0) or error (1), and the FS still
+         works and is consistent afterwards. *)
+      let iface = Fs_iface.of_fs fs in
+      let inum = iface.Fs_iface.create ~core:0 "after" in
+      iface.Fs_iface.write ~core:0 ~inum ~off:0 (Bytes.of_string "still fine");
+      List.for_all (fun r -> Bytes.length r > 0 && Bytes.get r 0 <= '\001') replies
+      && Bytes.to_string (iface.Fs_iface.read ~core:0 ~inum ~off:0 ~len:10) = "still fine"
+      && Fsck.check fs ~core:0 = [])
+
+let test_fs_bad_requests () =
+  let _, _, _, fs = mkmount () in
+  let handler = Fs_iface.server_handler fs in
+  let is_error r = Bytes.length r > 0 && Bytes.get r 0 = '\001' in
+  List.iter
+    (fun (what, msg) ->
+      Alcotest.(check bool) what true (is_error (handler ~core:0 (Bytes.of_string msg))))
+    [
+      ("read, no header", "\004");
+      ("size, no inum", "\003\001");
+      ("write, short header", "\005\001\000\000\000\000");
+      ("read, negative offset", "\004\001\000\000\000\255\255\255\255\010\000\000\000");
+      ("write to the root directory", "\005\001\000\000\000\000\000\000\000xx");
+    ]
+
 let test_fs_iface_error_propagates () =
   let _, _, _, fs = mkmount () in
   let iface = Fs_iface.of_fs fs in
@@ -344,7 +478,10 @@ let () =
           Alcotest.test_case "bounds" `Quick test_ramdisk_bounds;
           Alcotest.test_case "proto roundtrip" `Quick test_blockdev_proto_roundtrip;
           Alcotest.test_case "over IPC" `Quick test_blockdev_over_ipc;
-        ] );
+          Alcotest.test_case "bad requests get error replies" `Quick
+            test_blockdev_bad_requests;
+        ]
+        @ qc [ prop_blockdev_proto_roundtrip; prop_disk_handler_total ] );
       ( "log",
         [
           Alcotest.test_case "commit visible" `Quick test_log_commit_visible;
@@ -376,5 +513,7 @@ let () =
         [
           Alcotest.test_case "over IPC" `Quick test_fs_over_ipc;
           Alcotest.test_case "errors propagate" `Quick test_fs_iface_error_propagates;
-        ] );
+          Alcotest.test_case "bad requests get error replies" `Quick test_fs_bad_requests;
+        ]
+        @ qc [ prop_fs_handler_total ] );
     ]

@@ -210,6 +210,66 @@ let prop_cache_capacity =
       List.iter (fun a -> ignore (Cache.access c a)) addrs;
       List.for_all (fun a -> Cache.access c a) addrs)
 
+(* The run call is the same [n] accesses: for a random geometry and a
+   random run (cold or after random warm-up), the hit/miss sequence, the
+   missed lines in order, both counters, and the LRU state all match.
+   LRU state is compared through a follow-up access sequence, whose
+   evictions expose the stamps. The next level fed by [access_missed]
+   is checked the same way. *)
+let prop_cache_run_exact =
+  let gen =
+    QCheck.Gen.(
+      let* ways = int_range 1 16 in
+      let* sets_log = int_range 0 6 in
+      let* warm = oneof [ return []; list_size (int_range 0 200) (int_bound 255) ] in
+      let* start = int_bound 255 in
+      let* n = int_range 1 Cache.run_max in
+      let* follow = list_size (int_range 0 100) (int_bound 255) in
+      return (ways, sets_log, warm, start, n, follow))
+  in
+  let print (ways, sets_log, warm, start, n, follow) =
+    Printf.sprintf "ways=%d sets=%d warm=%d start=%d n=%d follow=%d" ways
+      (1 lsl sets_log) (List.length warm) start n (List.length follow)
+  in
+  QCheck.Test.make ~name:"Cache run call = n accesses" ~count:300
+    (QCheck.make ~print gen)
+    (fun (ways, sets_log, warm, start, n, follow) ->
+      let mk () =
+        Cache.create ~name:"p" ~size_bytes:((1 lsl sets_log) * ways * 64) ~ways
+          ~line_bytes:64
+      in
+      let ref1 = mk () and ref2 = mk () and run1 = mk () and run2 = mk () in
+      List.iter
+        (fun l ->
+          List.iter (fun c -> ignore (Cache.access c (l * 64))) [ ref1; ref2; run1; run2 ])
+        warm;
+      (* Reference: n single accesses; misses feed the second level. *)
+      let ref_hits = List.init n (fun i -> Cache.access ref1 ((start + i) * 64)) in
+      let ref_missed =
+        List.concat (List.mapi (fun i h -> if h then [] else [ (start + i) * 64 ]) ref_hits)
+      in
+      let ref_missed2 = List.filter (fun pa -> not (Cache.access ref2 pa)) ref_missed in
+      (* Run path. *)
+      let m = Cache.access_run run1 ~pa:(start * 64) ~n in
+      let run_missed = List.init m (Cache.missed run1) in
+      let run_hits = List.init n (fun i -> not (List.mem ((start + i) * 64) run_missed)) in
+      let m2 = Cache.access_missed run2 ~src:run1 ~n:m in
+      let run_missed2 = List.init m2 (Cache.missed run2) in
+      let counters c = (Cache.hits c, Cache.misses c) in
+      let follow_up c = List.map (fun l -> Cache.access c (l * 64)) follow in
+      run_hits = ref_hits && run_missed = ref_missed && run_missed2 = ref_missed2
+      && counters run1 = counters ref1
+      && counters run2 = counters ref2
+      && follow_up run1 = follow_up ref1
+      && follow_up run2 = follow_up ref2)
+
+let test_cache_run_bounds () =
+  let c = small_cache () in
+  Alcotest.check_raises "longer than run_max"
+    (Invalid_argument "Cache.access_run: n > run_max") (fun () ->
+      ignore (Cache.access_run c ~pa:0 ~n:(Cache.run_max + 1)));
+  Alcotest.(check int) "rejected run touched nothing" 0 (Cache.hits c + Cache.misses c)
+
 (* ------------------------------------------------------------------ *)
 (* Tlb                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -311,6 +371,114 @@ let test_footprint_counters () =
   Alcotest.(check int) "l1d miss" 1 fp.Cpu.l1d_miss;
   Alcotest.(check int) "both fell through l2" 2 fp.Cpu.l2_miss
 
+(* [touch_range] against the per-line loop it replaces. A range is
+   (insn?, state-only?, pa, len); lengths reach past two 64-line
+   chunks. *)
+let line_loop c kind ~pa ~len f =
+  if len > 0 then
+    for l = pa / 64 to (pa + len - 1) / 64 do
+      f c kind (l * 64)
+    done
+
+let ref_access_state_only c kind pa =
+  let l1 = match kind with Memsys.Insn -> Cpu.l1i c | Memsys.Data -> Cpu.l1d c in
+  if not (Cache.access l1 pa) then
+    if not (Cache.access (Cpu.l2 c) pa) then ignore (Cache.access (Cpu.l3 c) pa)
+
+let ref_touch c (insn, state_only, pa, len) =
+  let kind = if insn then Memsys.Insn else Memsys.Data in
+  line_loop c kind ~pa ~len (if state_only then ref_access_state_only else Memsys.access)
+
+let run_touch c (insn, state_only, pa, len) =
+  let kind = if insn then Memsys.Insn else Memsys.Data in
+  if state_only then Memsys.touch_range_state_only c kind ~pa ~len
+  else Memsys.touch_range c kind ~pa ~len
+
+let gen_ranges =
+  QCheck.Gen.(
+    list_size (int_range 1 40)
+      (quad bool (map (fun k -> k = 0) (int_bound 3))
+         (int_bound (512 * 1024))
+         (oneof [ int_bound 130; int_bound (140 * 64) ])))
+
+let print_ranges rs =
+  String.concat ";"
+    (List.map (fun (i, s, pa, len) -> Printf.sprintf "(%b,%b,%#x,%d)" i s pa len) rs)
+
+(* Cycles, every cache's counters, and presence of every line the
+   ranges could have touched. *)
+let memsys_state c ranges =
+  let caches = [ Cpu.l1i c; Cpu.l1d c; Cpu.l2 c; Cpu.l3 c ] in
+  let lines =
+    List.concat_map
+      (fun (_, _, pa, len) -> List.init ((len + 127) / 64) (fun i -> (pa / 64) + i))
+      ranges
+  in
+  ( Cpu.cycles c,
+    List.map (fun k -> (Cache.hits k, Cache.misses k)) caches,
+    List.map (fun l -> List.map (fun k -> Cache.probe k (l * 64)) caches) lines )
+
+let prop_touch_range_exact =
+  QCheck.Test.make ~name:"touch_range = per-line access loop" ~count:100
+    (QCheck.make ~print:print_ranges gen_ranges)
+    (fun ranges ->
+      let final touch =
+        let machine = Machine.create ~cores:1 ~mem_mib:16 () in
+        let c = Machine.core machine 0 in
+        List.iter (touch c) ranges;
+        memsys_state c ranges
+      in
+      final run_touch = final ref_touch)
+
+(* With the fault engine on, a [Prob] arm and an [At_cycle] arm on
+   "sim.cycle" see the same checks: the same fault fires at the same
+   line, with the same cycles, counters, cache contents and fired log.
+   The cycle target is drawn inside the ranges' total, so it lands
+   mid-range. *)
+let prop_touch_range_faults =
+  let gen =
+    QCheck.Gen.(
+      let* ranges = gen_ranges in
+      let* frac = float_bound_exclusive 1.0 in
+      let* seed = int_bound 1000 in
+      let* p = oneof [ return 0.0; float_range 0.001 0.05 ] in
+      return (ranges, frac, seed, p))
+  in
+  let print (ranges, frac, seed, p) =
+    Printf.sprintf "%s frac=%.3f seed=%d p=%.3f" (print_ranges ranges) frac seed p
+  in
+  QCheck.Test.make ~name:"touch_range = per-line loop under sim.cycle faults"
+    ~count:100 (QCheck.make ~print gen)
+    (fun (ranges, frac, seed, p) ->
+      let total =
+        let machine = Machine.create ~cores:1 ~mem_mib:16 () in
+        let c = Machine.core machine 0 in
+        List.iter (ref_touch c) ranges;
+        Cpu.cycles c
+      in
+      let target = int_of_float (frac *. float_of_int total) in
+      let final touch =
+        Sky_faults.Fault.with_engine (Sky_faults.Fault.fresh_engine ()) @@ fun () ->
+        let machine = Machine.create ~cores:1 ~mem_mib:16 () in
+        let c = Machine.core machine 0 in
+        Sky_faults.Fault.reset ~seed ();
+        Fun.protect ~finally:Sky_faults.Fault.disable @@ fun () ->
+        Sky_faults.Fault.set_clock (fun _ -> Cpu.cycles c);
+        Sky_faults.Fault.arm ~site:"sim.cycle" ~kind:Sky_faults.Fault.Crash
+          (Sky_faults.Fault.Prob p);
+        Sky_faults.Fault.arm ~site:"sim.cycle" ~kind:Sky_faults.Fault.Hang
+          (Sky_faults.Fault.At_cycle target);
+        let outcome =
+          Sky_faults.Fault.with_scope (fun () ->
+              match List.iter (touch c) ranges with
+              | () -> None
+              | exception Sky_faults.Fault.Injected { kind; _ } -> Some kind)
+        in
+        (outcome, memsys_state c ranges, Sky_faults.Fault.fired ())
+      in
+      let ((outcome, _, _) as run) = final run_touch in
+      (total = 0 || outcome <> None) && run = final ref_touch)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -403,8 +571,9 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "stats" `Quick test_cache_stats;
           Alcotest.test_case "geometry validated" `Quick test_cache_geometry_validation;
+          Alcotest.test_case "run length bounded" `Quick test_cache_run_bounds;
         ]
-        @ qc [ prop_cache_capacity ] );
+        @ qc [ prop_cache_capacity; prop_cache_run_exact ] );
       ( "tlb",
         [
           Alcotest.test_case "insert/lookup with asid" `Quick test_tlb_insert_lookup;
@@ -419,7 +588,8 @@ let () =
           Alcotest.test_case "memsys latencies" `Quick test_memsys_latencies;
           Alcotest.test_case "L2 backstop" `Quick test_memsys_l2_fill;
           Alcotest.test_case "footprint counters" `Quick test_footprint_counters;
-        ] );
+        ]
+        @ qc [ prop_touch_range_exact; prop_touch_range_faults ] );
       ( "pmu",
         [
           Alcotest.test_case "count/add/read roundtrip" `Quick test_pmu_roundtrip;

@@ -355,7 +355,29 @@ let test_hot_path_allocates_nothing () =
     sweep ws_pages;
     let misses0 = Tlb.misses dtlb in
     check_no_alloc (label "1k refill translates") (fun () -> sweep 1000);
-    Alcotest.(check int) (label "every one refilled") 1000 (Tlb.misses dtlb - misses0)
+    Alcotest.(check int) (label "every one refilled") 1000 (Tlb.misses dtlb - misses0);
+    (* Ranges: one line, a 1 KiB block, and 130 lines (three chunks). *)
+    let pa = Translate.translate vcpu mem Translate.data_read ~va:ws in
+    List.iter
+      (fun lines ->
+        let len = lines * 64 in
+        check_no_alloc
+          (label (Printf.sprintf "touch_range %d lines" lines))
+          (fun () ->
+            for _ = 1 to 100 do
+              Memsys.touch_range cpu Memsys.Data ~pa ~len
+            done);
+        check_no_alloc
+          (label (Printf.sprintf "touch_range_state_only %d lines" lines))
+          (fun () ->
+            for _ = 1 to 100 do
+              Memsys.touch_range_state_only cpu Memsys.Insn ~pa ~len
+            done))
+      [ 1; 16; 130 ];
+    check_no_alloc (label "Translate.touch 4 KiB across a page") (fun () ->
+        for _ = 1 to 100 do
+          Translate.touch vcpu mem Translate.data_read ~va:(ws + 100) ~len:4096
+        done)
   in
   run true;
   run false
