@@ -340,8 +340,8 @@ let web_cmd =
       value & flag
       & info [ "no-accel" ]
           ~doc:
-            "Disable the translation-acceleration structures (PSCs, EPT \
-             walk cache, hot lines) for this run — the cache-free \
+            "Disable the translation-acceleration structures (PSCs and \
+             the EPT walk cache) for this run — the cache-free \
              reference walker, for host wall-clock comparisons.")
   in
   let run seed cores conns requests json no_accel jobs backend =

@@ -103,64 +103,12 @@ let reachable_vmfuncs ?(rule = vmfunc_rule) code ~entries =
   List.iter go entries;
   List.sort (fun a b -> compare a.Decode.off b.Decode.off) !hits
 
-(* ---- content-hash memoization ----
-
-   Chaos restarts and repeated whole-machine audits rescan the same
-   images over and over: the web/mesh scenarios audit every registered
-   process at the end of every run, and the per-registration audit
-   re-proves the same trampoline bytes for every process. The scan is a
-   pure function of the image, so memoize it on an FNV-1a content hash,
-   revalidating with a full byte compare on hit (a collision must never
-   return another image's verdict). The table is bounded; overflow drops
-   it wholesale — correctness never depends on a hit. *)
-
-let memo_capacity = 256
-let memo : (int64, image * string * Report.violation list) Hashtbl.t =
-  Hashtbl.create memo_capacity
-let memo_hits_ = ref 0
-let memo_misses_ = ref 0
-
-(* The memo is host-wide shared state (deliberately: replicated audit
-   runs scan identical images, sharing the verdicts is the point), so
-   serialize access for parallel `--jobs` runs. Scan results are pure
-   functions of the image bytes, so sharing across replicas cannot leak
-   one replica's state into another — only identical verdicts. *)
-let memo_lock = Mutex.create ()
-
-let with_memo_lock f =
-  Mutex.lock memo_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
-
-let fnv1a64 ~rule img =
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L
-  in
-  Bytes.iter (fun c -> mix (Char.code c)) img.bytes;
-  mix (img.va land 0xff);
-  mix (Hashtbl.hash (img.name, img.va, img.allowed, img.entries) land 0xffffff);
-  String.iter (fun c -> mix (Char.code c)) rule.r_tag;
-  !h
-
-let same_image a b =
-  a.name = b.name && a.va = b.va && a.allowed = b.allowed
-  && a.entries = b.entries
-  && Bytes.equal a.bytes b.bytes
-
-let memo_stats () = with_memo_lock (fun () -> (!memo_hits_, !memo_misses_))
-
-let memo_reset () =
-  with_memo_lock (fun () ->
-      Hashtbl.reset memo;
-      memo_hits_ := 0;
-      memo_misses_ := 0)
-
 let hex_of_pattern p =
   String.concat " "
     (List.map (Printf.sprintf "%02X")
        (List.init (Bytes.length p) (fun i -> Char.code (Bytes.get p i))))
 
-let audit_uncached ~rule img =
+let audit_rule ~rule img =
   let vs = ref [] in
   let add ?addr invariant detail =
     vs := Report.v ?addr ~invariant ~image:img.name detail :: !vs
@@ -210,28 +158,6 @@ let audit_uncached ~rule img =
         :: !vs)
     (Decode.unknown_spans img.bytes);
   Report.sort !vs
-
-let audit_rule ~rule img =
-  let h = fnv1a64 ~rule img in
-  let hit =
-    with_memo_lock (fun () ->
-        match Hashtbl.find_opt memo h with
-        | Some (cached, tag, vs) when tag = rule.r_tag && same_image cached img ->
-          incr memo_hits_;
-          Some vs
-        | _ ->
-          incr memo_misses_;
-          None)
-  in
-  match hit with
-  | Some vs -> vs
-  | None ->
-    let vs = audit_uncached ~rule img in
-    with_memo_lock (fun () ->
-        if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
-        Hashtbl.replace memo h
-          ({ img with bytes = Bytes.copy img.bytes }, rule.r_tag, vs));
-    vs
 
 let audit img = audit_rule ~rule:vmfunc_rule img
 

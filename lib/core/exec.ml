@@ -83,13 +83,7 @@ let run kernel ~core ~entry ?regs ?(max_steps = 100_000) () =
     | Insn.B -> flags.ult
     | Insn.Ae -> not flags.ult
   in
-  (* Fetch a decode window through the i-side of the MMU. The decoded
-     form is memoized per IP for this run; the window is still read
-     through translation every step (identical simulated charges and
-     fault sites) and the memo is only served when the freshly read
-     bytes match, so self-modifying or remapped code can never execute
-     stale decodes — only the pure host-side decode work is skipped. *)
-  let decode_memo : (int, bytes * Decode.decoded) Hashtbl.t = Hashtbl.create 64 in
+  (* Fetch a decode window through the i-side of the MMU and decode it. *)
   let fetch_insn ip =
     Sky_mmu.Translate.touch vcpu mem Sky_mmu.Translate.fetch ~va:ip ~len:1;
     (* Read up to 16 bytes without crossing into an unmapped next page. *)
@@ -105,14 +99,7 @@ let run kernel ~core ~entry ?regs ?(max_steps = 100_000) () =
           Sky_mmu.Translate.read_bytes vcpu mem ~va:ip ~len:want
       end
     in
-    if not (Sky_sim.Accel.is_enabled ()) then Decode.decode_one window 0
-    else
-      match Hashtbl.find_opt decode_memo ip with
-      | Some (w, d) when Bytes.equal w window -> d
-      | _ ->
-        let d = Decode.decode_one window 0 in
-        Hashtbl.replace decode_memo ip (window, d);
-        d
+    Decode.decode_one window 0
   in
   let rec step ip steps =
     if steps > max_steps then raise (Exec_fault "step limit")

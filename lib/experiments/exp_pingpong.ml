@@ -28,7 +28,6 @@ type result = {
   psc_misses : int;
   ept_wc_hits : int;
   ept_wc_misses : int;
-  hot_line_hits : int;
   words_per_call : int;  (** host minor-heap words per call, accel on *)
 }
 
@@ -82,7 +81,6 @@ let measure () =
   let psc_h0 = read Sky_sim.Pmu.Psc_hit and psc_m0 = read Sky_sim.Pmu.Psc_miss in
   let wc_h0 = read Sky_sim.Pmu.Ept_walk_cache_hit
   and wc_m0 = read Sky_sim.Pmu.Ept_walk_cache_miss in
-  let hl0 = read Sky_sim.Pmu.Hot_line_hit in
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
     one ()
@@ -96,7 +94,6 @@ let measure () =
     psc_misses = read Sky_sim.Pmu.Psc_miss - psc_m0;
     ept_wc_hits = read Sky_sim.Pmu.Ept_walk_cache_hit - wc_h0;
     ept_wc_misses = read Sky_sim.Pmu.Ept_walk_cache_miss - wc_m0;
-    hot_line_hits = read Sky_sim.Pmu.Hot_line_hit - hl0;
     words_per_call = int_of_float words / iters;
   }
 
@@ -153,8 +150,8 @@ let table r =
     ~header:[ "metric"; "value" ]
     ~notes:
       [
-        "'accel off' disables PSCs, the EPT walk cache and host hot lines \
-         (the cache-free reference walker)";
+        "'accel off' disables PSCs and the EPT walk cache (the cache-free \
+         reference walker)";
         "hit rates are over the measured window, acceleration on";
       ]
     [
@@ -166,7 +163,6 @@ let table r =
         "ept walk cache hit rate %";
         Printf.sprintf "%.1f" (pct_hit r.ept_wc_hits r.ept_wc_misses);
       ];
-      [ "hot line hits"; Tbl.fmt_int r.hot_line_hits ];
       [ "host minor words/call (accel on)"; Tbl.fmt_int r.words_per_call ];
     ]
 
@@ -175,9 +171,8 @@ let to_json r =
     "{\"experiment\":\"pingpong\",\"cycles_per_call\":%d,\
      \"cycles_per_call_noaccel\":%d,\"walk_cycles_per_call\":%d,\
      \"psc_hits\":%d,\"psc_misses\":%d,\"ept_wc_hits\":%d,\
-     \"ept_wc_misses\":%d,\"hot_line_hits\":%d,\"words_per_call\":%d}"
+     \"ept_wc_misses\":%d,\"words_per_call\":%d}"
     r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
-    r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.hot_line_hits
-    r.words_per_call
+    r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.words_per_call
 
 let run () = table (run_result ())

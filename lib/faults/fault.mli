@@ -77,13 +77,6 @@ val inject : core:int -> string -> unit
 val enter_scope : unit -> unit
 val leave_scope : unit -> unit
 
-val on_scope_enter : (unit -> unit) -> unit
-(** Register a callback run every time a fault scope opens while the
-    engine is enabled. Layers above use it to drop host-side memo state
-    (e.g. translation hot lines) so chaos runs take identical code
-    paths regardless of prior warm-up. Callbacks accumulate and run in
-    registration order. *)
-
 val with_scope : (unit -> 'a) -> 'a
 (** Run a thunk with the scoped-site window open (exception-safe). *)
 

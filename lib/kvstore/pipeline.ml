@@ -41,36 +41,8 @@ let touch_text kernel ~core pa len =
 
 (* ---- server wire formats ---- *)
 
-let kv_insert_msg ~key ~value =
-  let b = Bytes.create (4 + Bytes.length key + Bytes.length value) in
-  Bytes.set b 0 'I';
-  Bytes.set_uint16_le b 2 (Bytes.length key);
-  Bytes.blit key 0 b 4 (Bytes.length key);
-  Bytes.blit value 0 b (4 + Bytes.length key) (Bytes.length value);
-  b
-
-let kv_query_msg ~key =
-  let b = Bytes.create (4 + Bytes.length key) in
-  Bytes.set b 0 'Q';
-  Bytes.set_uint16_le b 2 (Bytes.length key);
-  Bytes.blit key 0 b 4 (Bytes.length key);
-  b
-
 let kv_handler kv kernel : Sky_kernels.Ipc.handler =
- fun ~core msg ->
-  let cpu = Kernel.cpu kernel ~core in
-  let klen = Bytes.get_uint16_le msg 2 in
-  let key = Bytes.sub msg 4 klen in
-  match Bytes.get msg 0 with
-  | 'I' ->
-    let value = Bytes.sub msg (4 + klen) (Bytes.length msg - 4 - klen) in
-    Kv_server.insert kv cpu ~key ~value;
-    Bytes.of_string "ok"
-  | 'Q' -> (
-    match Kv_server.query kv cpu ~key with
-    | Some v -> v
-    | None -> Bytes.empty)
-  | c -> invalid_arg (Printf.sprintf "kv_handler: opcode %c" c)
+ fun ~core msg -> Kv_wire.serve kv (Kernel.cpu kernel ~core) msg
 
 let enc_handler rc4 kernel : Sky_kernels.Ipc.handler =
  fun ~core msg -> Rc4.crypt rc4 (Kernel.cpu kernel ~core) msg
@@ -250,7 +222,7 @@ let insert t ~core ~len =
   (* encrypt, then store the ciphertext *)
   let cipher = t.call_enc ~core value in
   touch_working_set t ~core;
-  let reply = t.call_kv ~core (kv_insert_msg ~key ~value:cipher) in
+  let reply = t.call_kv ~core (Kv_wire.encode (Single (Insert (key, cipher)))) in
   touch_working_set t ~core;
   assert (Bytes.length reply > 0);
   t.live_keys <- (key, value) :: t.live_keys;
@@ -266,7 +238,7 @@ let query t ~core ~len =
   | [] -> insert t ~core ~len
   | (key, expected) :: _ ->
     compose t ~core key;
-    let cipher = t.call_kv ~core (kv_query_msg ~key) in
+    let cipher = t.call_kv ~core (Kv_wire.encode (Single (Query key))) in
     touch_working_set t ~core;
     if Bytes.length cipher = 0 then
       raise (Corrupt_pipeline "stored key vanished from the KV server");

@@ -104,7 +104,7 @@ let map_4k_flags t ~mem ~alloc ~gpa ~hpa ~flags =
   let v = Pte.encode ~pa:hpa { flags with Pte.huge = false } in
   Sky_mem.Phys_mem.write_u64 mem epa v;
   (* Overwriting a live leaf (a remap) can strand cached translations
-     anywhere in the machine — TLBs, EPT walk caches, host hot lines.
+     anywhere in the machine — TLBs and EPT walk caches.
      Bump the global mutation epoch so they all lazily self-flush.
      Fresh installs can't invalidate a cached positive translation, so
      boot-time identity-map loops stay bump-free. *)

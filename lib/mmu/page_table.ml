@@ -40,7 +40,7 @@ let map t ~mem ~alloc ~va ~pa ~flags =
   let v = Pte.encode ~pa flags in
   Sky_mem.Phys_mem.write_u64 mem epa v;
   (* Remapping a live leaf invalidates cached translations machine-wide
-     (TLBs, PSCs, hot lines): bump the global epoch. Fresh installs
+     (TLBs, PSCs): bump the global epoch. Fresh installs
      don't — nothing positive can be cached for an unmapped page. *)
   if Pte.is_present old && old <> v then Sky_sim.Accel.bump ()
 

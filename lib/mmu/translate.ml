@@ -143,34 +143,16 @@ let traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn =
 
 let translate vcpu mem acc ~va =
   let cpu = Vcpu.cpu vcpu in
-  let insn = match acc.kind with Sky_sim.Memsys.Insn -> true | Sky_sim.Memsys.Data -> false in
-  let tlb = if insn then Sky_sim.Cpu.itlb cpu else Sky_sim.Cpu.dtlb cpu in
+  let tlb =
+    match acc.kind with
+    | Sky_sim.Memsys.Insn -> Sky_sim.Cpu.itlb cpu
+    | Sky_sim.Memsys.Data -> Sky_sim.Cpu.dtlb cpu
+  in
   let vpn = va lsr 12 in
   let asid = Vcpu.asid vcpu in
-  if not (Sky_sim.Accel.is_enabled ()) then begin
-    let i = Sky_sim.Tlb.lookup tlb ~asid ~vpn in
-    if i >= 0 then serve_hit vcpu acc ~va tlb i
-    else traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
-  end
-  else begin
-    (* Host fast path: revalidate the hot line remembered for this
-       (core, side, vpn). Success is observably identical to a TLB hit
-       (same counters, LRU and zero charged cycles) but skips the set
-       scan. *)
-    let line = Sky_sim.Memsys.Hotline.line_for ~core:(Sky_sim.Cpu.id cpu) ~insn ~vpn in
-    let i = Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn in
-    if i >= 0 then begin
-      Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Hot_line_hit;
-      serve_hit vcpu acc ~va tlb i
-    end
-    else
-      let i = Sky_sim.Tlb.lookup tlb ~asid ~vpn in
-      if i >= 0 then begin
-        Sky_sim.Memsys.Hotline.record line ~tlb ~slot:i ~asid ~vpn;
-        serve_hit vcpu acc ~va tlb i
-      end
-      else traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
-  end
+  let i = Sky_sim.Tlb.lookup tlb ~asid ~vpn in
+  if i >= 0 then serve_hit vcpu acc ~va tlb i
+  else traced_refill vcpu cpu mem acc ~va ~tlb ~asid ~vpn
 
 let accessed vcpu mem acc ~va =
   let hpa = translate vcpu mem acc ~va in

@@ -47,7 +47,17 @@ let parse_request b =
   end
   else raise (Bad_request (if String.length s > 32 then String.sub s 0 32 else s))
 
-let serialize_request = function
+(* Only requests that parse back to themselves are serialized: the PUT
+   key ends at the first space, and an empty key or path is refused by
+   the parser. *)
+let serialize_request r =
+  (match r with
+   | Kv_get "" | Kv_put ("", _) -> invalid_arg "Http.serialize_request: empty key"
+   | Fs_get "" -> invalid_arg "Http.serialize_request: empty path"
+   | Kv_put (key, _) when String.contains key ' ' ->
+     invalid_arg "Http.serialize_request: space in PUT key"
+   | Kv_get _ | Kv_put _ | Fs_get _ -> ());
+  match r with
   | Kv_get key -> Bytes.of_string ("GET /kv/" ^ key)
   | Kv_put (key, value) ->
     let prefix = "PUT /kv/" ^ key ^ " " in

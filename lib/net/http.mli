@@ -13,7 +13,12 @@ type response = { status : int; body : bytes }
 exception Bad_request of string
 
 val parse_request : bytes -> request
+
 val serialize_request : request -> bytes
+(** [parse_request (serialize_request r) = r] for every [r] it accepts.
+    @raise Invalid_argument on an empty key or path, or a PUT key
+    containing a space (it would end the key early). *)
+
 val parse_response : bytes -> response
 val serialize_response : response -> bytes
 

@@ -29,6 +29,7 @@ open Sky_ukernel
 open Sky_blockdev
 open Sky_xv6fs
 module Kv_server = Sky_kvstore.Kv_server
+module Kv_wire = Sky_kvstore.Kv_wire
 module Subkernel = Sky_core.Subkernel
 module Retry = Sky_core.Retry
 module Ipc = Sky_kernels.Ipc
@@ -64,133 +65,32 @@ type t = {
   mutable elapsed : int;  (** busiest worker core's cycles across {!run} *)
 }
 
-(* ---- KV wire format (the store's own 'I'/'Q'/'B' protocol) ---- *)
+(* ---- KV wire format ({!Kv_wire}) ---- *)
 
-let kv_insert_msg ~key ~value =
-  let kb = Bytes.of_string key in
-  let b = Bytes.create (4 + Bytes.length kb + Bytes.length value) in
-  Bytes.set b 0 'I';
-  Bytes.set_uint16_le b 2 (Bytes.length kb);
-  Bytes.blit kb 0 b 4 (Bytes.length kb);
-  Bytes.blit value 0 b (4 + Bytes.length kb) (Bytes.length value);
-  b
+let wire_op = function
+  | Httpd.Op_put (k, v) -> Kv_wire.Insert (Bytes.of_string k, v)
+  | Httpd.Op_get k -> Kv_wire.Query (Bytes.of_string k)
 
-let kv_query_msg ~key =
-  let kb = Bytes.of_string key in
-  let b = Bytes.create (4 + Bytes.length kb) in
-  Bytes.set b 0 'Q';
-  Bytes.set_uint16_le b 2 (Bytes.length kb);
-  Bytes.blit kb 0 b 4 (Bytes.length kb);
-  b
-
-(* 'B': [count:u16] then per op 'I'[klen:u16][vlen:u16]key value or
-   'Q'[klen:u16]key — a whole request batch in one server crossing. The
-   reply mirrors it: [count:u16] then 's' (stored), 'm' (miss) or
-   'v'[len:u16]bytes per op, in order. *)
-let kv_batch_msg ops =
-  let size =
-    List.fold_left
-      (fun a op ->
-        a
-        +
-        match op with
-        | Httpd.Op_put (k, v) -> 5 + String.length k + Bytes.length v
-        | Httpd.Op_get k -> 3 + String.length k)
-      4 ops
-  in
-  let b = Bytes.create size in
-  Bytes.set b 0 'B';
-  Bytes.set b 1 '\000';
-  Bytes.set_uint16_le b 2 (List.length ops);
-  let off = ref 4 in
-  List.iter
-    (fun op ->
-      match op with
-      | Httpd.Op_put (k, v) ->
-        Bytes.set b !off 'I';
-        Bytes.set_uint16_le b (!off + 1) (String.length k);
-        Bytes.set_uint16_le b (!off + 3) (Bytes.length v);
-        Bytes.blit_string k 0 b (!off + 5) (String.length k);
-        Bytes.blit v 0 b (!off + 5 + String.length k) (Bytes.length v);
-        off := !off + 5 + String.length k + Bytes.length v
-      | Httpd.Op_get k ->
-        Bytes.set b !off 'Q';
-        Bytes.set_uint16_le b (!off + 1) (String.length k);
-        Bytes.blit_string k 0 b (!off + 3) (String.length k);
-        off := !off + 3 + String.length k)
-    ops;
-  b
-
-let kv_batch_replies resp =
-  let count = Bytes.get_uint16_le resp 0 in
-  let off = ref 2 in
-  List.init count (fun _ ->
-      match Bytes.get resp !off with
-      | 's' ->
-        incr off;
-        Httpd.R_stored true
-      | 'f' ->
-        incr off;
-        Httpd.R_stored false
-      | 'm' ->
-        incr off;
-        Httpd.R_value None
-      | 'v' ->
-        let len = Bytes.get_uint16_le resp (!off + 1) in
-        let v = Bytes.sub resp (!off + 3) len in
-        off := !off + 3 + len;
-        Httpd.R_value (Some v)
-      | c -> invalid_arg (Printf.sprintf "web kv_batch_replies: tag %c" c))
+(* A reply that does not decode to one entry per op fails every op:
+   puts are not stored, gets miss. *)
+let kv_batch_replies ops resp =
+  match Kv_wire.decode_replies resp with
+  | Some rs when List.compare_lengths rs ops = 0 ->
+    List.map
+      (function
+        | Kv_wire.Stored ok -> Httpd.R_stored ok
+        | Kv_wire.Value v -> Httpd.R_value v)
+      rs
+  | _ ->
+    List.map
+      (function Httpd.Op_put _ -> Httpd.R_stored false | Httpd.Op_get _ -> Httpd.R_value None)
+      ops
 
 let kv_handler kv kernel ~text_pa : Ipc.handler =
  fun ~core msg ->
   let cpu = Kernel.cpu kernel ~core in
   Memsys.touch_range_state_only cpu Memsys.Insn ~pa:text_pa ~len:backend_text;
-  match Bytes.get msg 0 with
-  | 'I' ->
-    let klen = Bytes.get_uint16_le msg 2 in
-    let key = Bytes.sub msg 4 klen in
-    let value = Bytes.sub msg (4 + klen) (Bytes.length msg - 4 - klen) in
-    Kv_server.insert kv cpu ~key ~value;
-    Bytes.of_string "ok"
-  | 'Q' -> (
-    let klen = Bytes.get_uint16_le msg 2 in
-    let key = Bytes.sub msg 4 klen in
-    match Kv_server.query kv cpu ~key with Some v -> v | None -> Bytes.empty)
-  | 'B' ->
-    (* One crossing, many operations: the store pays per-op cache
-       footprint as usual, but the SkyBridge/IPC transit is amortized. *)
-    let count = Bytes.get_uint16_le msg 2 in
-    let off = ref 4 in
-    let parts =
-      List.init count (fun _ ->
-          match Bytes.get msg !off with
-          | 'I' ->
-            let klen = Bytes.get_uint16_le msg (!off + 1) in
-            let vlen = Bytes.get_uint16_le msg (!off + 3) in
-            let key = Bytes.sub msg (!off + 5) klen in
-            let value = Bytes.sub msg (!off + 5 + klen) vlen in
-            off := !off + 5 + klen + vlen;
-            Kv_server.insert kv cpu ~key ~value;
-            Bytes.of_string "s"
-          | 'Q' -> (
-            let klen = Bytes.get_uint16_le msg (!off + 1) in
-            let key = Bytes.sub msg (!off + 3) klen in
-            off := !off + 3 + klen;
-            match Kv_server.query kv cpu ~key with
-            | Some v ->
-              let r = Bytes.create (3 + Bytes.length v) in
-              Bytes.set r 0 'v';
-              Bytes.set_uint16_le r 1 (Bytes.length v);
-              Bytes.blit v 0 r 3 (Bytes.length v);
-              r
-            | None -> Bytes.of_string "m")
-          | c -> invalid_arg (Printf.sprintf "web kv_handler: batch op %c" c))
-    in
-    let head = Bytes.create 2 in
-    Bytes.set_uint16_le head 0 count;
-    Bytes.concat Bytes.empty (head :: parts)
-  | c -> invalid_arg (Printf.sprintf "web kv_handler: opcode %c" c)
+  Kv_wire.serve kv cpu msg
 
 (* Allocate the KV server's instruction working set and close the wire
    handler over it — shared with the composed mesh scenario, which runs
@@ -216,15 +116,19 @@ let binding_of_calls ?(batch = false) ~call_kv ~call_fs ~revoke ~rebind () =
   {
     Httpd.kv_put =
       (fun ~core ~key ~value ->
-        Bytes.to_string (call_kv ~core (kv_insert_msg ~key ~value)) = "ok");
+        let msg = Kv_wire.encode (Single (Insert (Bytes.of_string key, value))) in
+        Bytes.to_string (call_kv ~core msg) = "ok");
     kv_get =
       (fun ~core ~key ->
-        let r = call_kv ~core (kv_query_msg ~key) in
+        let r = call_kv ~core (Kv_wire.encode (Single (Query (Bytes.of_string key)))) in
         if Bytes.length r = 0 then None else Some r);
     fs_read = (fun ~core ~name -> fs_read_of iface ~core ~name);
     kv_batch =
       (if batch then
-         Some (fun ~core ops -> kv_batch_replies (call_kv ~core (kv_batch_msg ops)))
+         Some
+           (fun ~core ops ->
+             let msg = Kv_wire.encode (Batch (List.map wire_op ops)) in
+             kv_batch_replies ops (call_kv ~core msg))
        else None);
     revoke;
     rebind;

@@ -24,10 +24,10 @@ val rtt : int
 
 val kv_backend :
   Sky_ukernel.Kernel.t -> Sky_kvstore.Kv_server.t -> Sky_kernels.Ipc.handler
-(** The KV store's 'I'/'Q'/'B' wire handler, closed over a freshly
-    allocated instruction working set (so each server generation
-    pollutes the caches like a real process would). 'B' carries a whole
-    batch of operations in one crossing. *)
+(** The KV store's wire handler ({!Sky_kvstore.Kv_wire.serve}), closed
+    over a freshly allocated instruction working set (so each server
+    generation pollutes the caches like a real process would). A 'B'
+    request carries a whole batch of operations in one crossing. *)
 
 val binding_of_calls :
   ?batch:bool ->

@@ -4,7 +4,7 @@
     load:
 
     {b The kill switch.} All acceleration structures (paging-structure
-    caches, EPT walk cache, host-side hot lines) consult [is_enabled].
+    caches and the EPT walk cache) consult [is_enabled].
     Disabling them restores the pre-acceleration walker bit for bit —
     the cache-free reference the equivalence property tests against and
     the "before" column of the EXPERIMENTS.md pingpong table. The

@@ -1,6 +1,6 @@
 (** Global state for the translation-acceleration layer: the kill
-    switch for all acceleration structures (paging-structure caches,
-    EPT walk cache, host hot lines) and the mutation epoch that lazily
+    switch for all acceleration structures (paging-structure caches and
+    the EPT walk cache) and the mutation epoch that lazily
     invalidates every one of them when a mapping changes underneath.
     The epoch is scoped: parallel shards each hold their own via
     {!with_scope} so cross-shard mutations cannot flush each other. *)

@@ -17,7 +17,11 @@ type event =
   | Psc_miss  (** TLB refill had to walk from CR3 *)
   | Ept_walk_cache_hit
   | Ept_walk_cache_miss
-  | Hot_line_hit  (** host-side hot line served the translation *)
+  | Hot_line_hit
+      (** Retired: nothing counts it, so it always reads 0. It counted
+          hits of a host-side memo over TLB hits, since deleted. The
+          constructor stays so that code naming the event (the
+          benchmark's layer report) still builds. *)
   | Walk_cycles  (** accumulator: simulated cycles spent in TLB refills *)
   | Wrpkru_exec  (** WRPKRU protection-key switches (MPK backend) *)
 

@@ -98,25 +98,6 @@ let ppn t i = t.slots.(i).ppn
 let writable t i = t.slots.(i).writable
 let user t i = t.slots.(i).user
 
-(* Hot-line revalidation: the caller remembered slot [i] from an earlier
-   lookup of the same (asid, vpn). If the slot still holds that live
-   mapping, replicate the observable effects of a hit (LRU clock,
-   stamp, hit counter) without scanning the set. Failure counts
-   nothing — the caller falls back to [lookup], which accounts the
-   access. *)
-let slot_hit t i ~asid ~vpn =
-  sync t;
-  let s = t.slots.(i) in
-  if s.valid && s.gen = t.gen && s.asid = asid && s.vpn = vpn
-     && s.stamp > floor_of t asid
-  then begin
-    t.clock <- t.clock + 1;
-    s.stamp <- t.clock;
-    t.hits <- t.hits + 1;
-    true
-  end
-  else false
-
 let insert t ~asid ~vpn ~ppn ~writable ~user =
   sync t;
   t.clock <- t.clock + 1;

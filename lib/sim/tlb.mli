@@ -36,13 +36,6 @@ val ppn : t -> int -> int
 val writable : t -> int -> bool
 val user : t -> int -> bool
 
-val slot_hit : t -> int -> asid:int -> vpn:int -> bool
-(** If slot [i] still holds a live mapping for (asid, vpn), count a hit,
-    update LRU state and return [true] — observably identical to a
-    {!lookup} hit, without the set scan. Returns [false] (and counts
-    nothing) if the slot was reused, flushed or outlived by a flush; the
-    caller then falls back to {!lookup}. Used by host hot lines. *)
-
 val insert :
   t -> asid:int -> vpn:int -> ppn:int -> writable:bool -> user:bool -> unit
 (** Install (or overwrite) the entry for (asid, vpn), evicting a dead

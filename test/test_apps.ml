@@ -99,6 +99,111 @@ let prop_kv_model =
         model true)
 
 (* ------------------------------------------------------------------ *)
+(* KV wire format                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let gen_field max = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (int_bound max)))
+
+let gen_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun k v -> Kv_wire.Insert (k, v)) (gen_field 40) (gen_field 300);
+        map (fun k -> Kv_wire.Query k) (gen_field 40);
+      ])
+
+let gen_request =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun op -> Kv_wire.Single op) gen_op;
+        map (fun ops -> Kv_wire.Batch ops) (list_size (int_bound 8) gen_op);
+      ])
+
+let gen_reply =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun ok -> Kv_wire.Stored ok) bool;
+        map (fun v -> Kv_wire.Value v) (opt (gen_field 300));
+      ])
+
+let show b = String.escaped (Bytes.to_string b)
+
+let prop_kv_wire_roundtrip =
+  QCheck.Test.make ~name:"kv wire decode . encode = id" ~count:300
+    (QCheck.make ~print:(fun r -> show (Kv_wire.encode r)) gen_request)
+    (fun r -> Kv_wire.decode (Kv_wire.encode r) = Some r)
+
+let prop_kv_wire_replies_roundtrip =
+  QCheck.Test.make ~name:"kv wire replies decode . encode = id" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 8) gen_reply))
+    (fun rs -> Kv_wire.decode_replies (Kv_wire.encode_replies rs) = Some rs)
+
+(* Arbitrary request bytes: noise, a valid request cut short or
+   extended, or one with a byte overwritten. Inserts may exceed the
+   store's [max_kv]. *)
+let gen_kv_msg =
+  QCheck.Gen.(
+    let big = map (fun k -> Kv_wire.Single (Insert (k, Bytes.make 1100 'v'))) (gen_field 4) in
+    let valid = map Kv_wire.encode (oneof [ gen_request; big ]) in
+    oneof
+      [
+        gen_field 64;
+        valid;
+        map2 (fun b n -> Bytes.sub b 0 (min n (Bytes.length b))) valid (int_bound 40);
+        map2 Bytes.cat valid (gen_field 4);
+        map3
+          (fun b i c ->
+            let b = Bytes.copy b in
+            if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c;
+            b)
+          valid nat char;
+      ])
+
+let prop_kv_serve_any_bytes =
+  QCheck.Test.make ~name:"kv server answers any bytes" ~count:400
+    (QCheck.make ~print:show gen_kv_msg)
+    (fun msg ->
+      let machine, _ = machine_kernel () in
+      let cpu = Sky_sim.Machine.core machine 0 in
+      let kv = Kv_server.create machine in
+      let reply = Kv_wire.serve kv cpu msg in
+      (* Anything that does not decode is answered empty and stores
+         nothing; the store still works afterwards. *)
+      (Kv_wire.decode msg <> None || (Bytes.length reply = 0 && Kv_server.entries kv = 0))
+      && Bytes.to_string
+           (Kv_wire.serve kv cpu (Kv_wire.encode (Single (Insert (Bytes.of_string "k", Bytes.of_string "v")))))
+         = "ok")
+
+(* The inputs that used to raise out of the server, and the encoder
+   limits that used to wrap silently. *)
+let test_kv_wire_bad_requests () =
+  let machine, _ = machine_kernel () in
+  let cpu = Sky_sim.Machine.core machine 0 in
+  let kv = Kv_server.create machine in
+  List.iter
+    (fun junk ->
+      Alcotest.(check string) ("empty reply to " ^ String.escaped junk) ""
+        (Bytes.to_string (Kv_wire.serve kv cpu (Bytes.of_string junk))))
+    [ ""; "I"; "Q\000"; "Q\000\005\000ab"; "I\000\255\255k"; "X\000\000\000";
+      "B\000\001\000Z"; "B\000\002\000Q\001\000k" ];
+  Alcotest.(check int) "nothing stored" 0 (Kv_server.entries kv);
+  let long = Bytes.make (Kv_wire.max_field + 1) 'k' in
+  let rejects what r =
+    match Kv_wire.encode r with
+    | _ -> Alcotest.failf "encoded an over-long %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "key" (Single (Query long));
+  rejects "value" (Single (Insert (Bytes.of_string "k", long)));
+  rejects "batch key" (Batch [ Insert (long, Bytes.empty) ]);
+  rejects "op count" (Batch (List.init (Kv_wire.max_field + 1) (fun _ -> Kv_wire.Query Bytes.empty)));
+  let widest = Kv_wire.Single (Query (Bytes.make Kv_wire.max_field 'k')) in
+  Alcotest.(check bool) "a u16-wide key still round-trips" true
+    (Kv_wire.decode (Kv_wire.encode widest) = Some widest)
+
+(* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -205,6 +310,10 @@ let () =
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
         ]
         @ qc [ prop_kv_model ] );
+      ( "kv_wire",
+        [ Alcotest.test_case "bad requests and limits" `Quick test_kv_wire_bad_requests ]
+        @ qc
+            [ prop_kv_wire_roundtrip; prop_kv_wire_replies_roundtrip; prop_kv_serve_any_bytes ] );
       ( "pipeline",
         [
           Alcotest.test_case "all configs run" `Quick test_pipeline_all_configs;

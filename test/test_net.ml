@@ -109,6 +109,71 @@ let test_http_roundtrip () =
       with Http.Bad_request _ -> ())
     [ "DELETE /kv/x"; "GET /kv/"; "PUT /kv/nokey"; "" ]
 
+let gen_text =
+  QCheck.Gen.(string_size ~gen:(oneof [ char; oneofl [ ' '; '/'; 'k'; 'v' ] ]) (int_bound 24))
+
+let gen_http_request =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> Http.Kv_get k) gen_text;
+        map2 (fun k v -> Http.Kv_put (k, Bytes.of_string v)) gen_text gen_text;
+        map (fun n -> Http.Fs_get n) gen_text;
+      ])
+
+let prop_http_request_roundtrip =
+  QCheck.Test.make ~name:"http parse . serialize = id" ~count:500
+    (QCheck.make gen_http_request)
+    (fun r ->
+      match Http.serialize_request r with
+      | b -> Http.parse_request b = r
+      | exception Invalid_argument _ -> true)
+
+(* Noise, or noise behind a prefix the parsers branch on. *)
+let gen_http_junk =
+  QCheck.Gen.(
+    map2 (fun p s -> Bytes.of_string (p ^ s))
+      (oneofl [ ""; "GET /kv/"; "PUT /kv/"; "GET /fs/"; "TTL"; "TTL-"; "200 "; "4" ])
+      gen_text)
+
+let prop_http_parsers_total =
+  QCheck.Test.make ~name:"http parsers raise only Bad_request" ~count:500
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen_http_junk)
+    (fun b ->
+      let only_bad f = match f b with _ -> true | exception Http.Bad_request _ -> true in
+      only_bad (fun b -> ignore (Http.parse_request b))
+      && only_bad (fun b -> ignore (Http.parse_response b))
+      && only_bad (fun b -> ignore (Http.split_ttl b)))
+
+(* The requests that used not to round-trip are refused at the encoder. *)
+let test_http_encoder_rejects () =
+  List.iter
+    (fun r ->
+      match Http.serialize_request r with
+      | b -> Alcotest.failf "serialized %S" (Bytes.to_string b)
+      | exception Invalid_argument _ -> ())
+    [
+      Http.Kv_put ("a b", Bytes.of_string "v");
+      Http.Kv_put ("", Bytes.of_string "v");
+      Http.Kv_get "";
+      Http.Fs_get "";
+    ]
+
+(* The web KV backend answers any bytes; a request that does not decode
+   gets the empty reply. *)
+let prop_web_kv_any_bytes =
+  QCheck.Test.make ~name:"web kv handler answers any bytes" ~count:300
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b))
+       QCheck.Gen.(
+         map2 (fun c s -> Bytes.of_string (String.make 1 c ^ s))
+           (oneofl [ 'I'; 'Q'; 'B'; 'X' ])
+           (string_size ~gen:char (int_bound 48))))
+    (fun msg ->
+      let k, machine = make ~cores:1 () in
+      let handler = Web.kv_backend k (Sky_kvstore.Kv_server.create machine) in
+      let reply = handler ~core:0 msg in
+      Sky_kvstore.Kv_wire.decode msg <> None || Bytes.length reply = 0)
+
 (* ------------------------------------------------------------------ *)
 (* Interleaved run loop                                                *)
 (* ------------------------------------------------------------------ *)
@@ -359,7 +424,13 @@ let () =
           Alcotest.test_case "irq-coalescing" `Quick test_nic_irq_coalescing;
           Alcotest.test_case "ring-full-drops" `Quick test_nic_ring_full_drops;
         ] );
-      ("http", [ Alcotest.test_case "codec" `Quick test_http_roundtrip ]);
+      ( "http",
+        [
+          Alcotest.test_case "codec" `Quick test_http_roundtrip;
+          Alcotest.test_case "encoder rejects" `Quick test_http_encoder_rejects;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_http_request_roundtrip; prop_http_parsers_total ] );
       ( "interleave",
         [
           Alcotest.test_case "virtual-time-order" `Quick
@@ -375,7 +446,8 @@ let () =
             test_web_worker_crash_recovery;
           Alcotest.test_case "denied-by-all-terminates" `Quick
             test_denied_by_all_terminates;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_web_kv_any_bytes ] );
       ( "overload",
         [
           Alcotest.test_case "openloop-accounting" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the translation-acceleration layer: the paging-structure
-   caches, EPT walk cache and host hot lines must be pure accelerators —
+   caches and EPT walk cache must be pure accelerators —
    observably identical to the cache-free reference walker under any
    interleaving of mapping mutations, flushes, CR3 writes and VMFUNC
    EPTP switches. *)
@@ -206,7 +206,7 @@ let with_accel enabled f =
   Fun.protect ~finally:(fun () -> Accel.set_enabled saved) f
 
 let accel_events =
-  Pmu.[ Psc_hit; Psc_miss; Ept_walk_cache_hit; Ept_walk_cache_miss; Hot_line_hit; Walk_cycles ]
+  Pmu.[ Psc_hit; Psc_miss; Ept_walk_cache_hit; Ept_walk_cache_miss; Walk_cycles ]
 
 let all_events =
   Pmu.[ Ipi_sent; Vm_exit; Vmfunc_exec; Syscall_exec; Cr3_write; Ipc_roundtrip;
@@ -232,8 +232,8 @@ let counters w =
         psc "pde" (Cpu.psc_pde cpu); psc "ept_wc" (Cpu.ept_walk_cache cpu);
       ])
 
-(* The counters accel must not move: the leaf TLBs (a hot-line hit is a
-   TLB hit) and every PMU event outside the acceleration ones. *)
+(* The counters accel must not move: the leaf TLBs and every PMU event
+   outside the acceleration ones. *)
 let accel_invariant_counters w =
   let cpu = Vcpu.cpu w.vcpu in
   let pmu = Cpu.pmu cpu in
@@ -284,11 +284,11 @@ let pinned_ops =
 
 let pinned_on =
   "77dbd3867ab356ed9d1e7dcc555af0e5 | "
-  ^ "cycles=14214 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=242 psc_miss=50 ept_walk_cache_hit=262 ept_walk_cache_miss=231 hot_line_hit=54 walk_cycles=3596 l1i=0/0 l1d=1096/202 l2=175/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=35/50 pdpte=40/85 pde=167/125 ept_wc=262/231"
+  ^ "cycles=14214 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=242 psc_miss=50 ept_walk_cache_hit=262 ept_walk_cache_miss=231 walk_cycles=3596 l1i=0/0 l1d=1096/202 l2=175/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=35/50 pdpte=40/85 pde=167/125 ept_wc=262/231"
 
 let pinned_off =
   "77dbd3867ab356ed9d1e7dcc555af0e5 | "
-  ^ "cycles=30534 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=0 psc_miss=0 ept_walk_cache_hit=0 ept_walk_cache_miss=0 hot_line_hit=0 walk_cycles=4972 l1i=0/0 l1d=5098/228 l2=201/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=0/0 pdpte=0/0 pde=0/0 ept_wc=0/0"
+  ^ "cycles=30534 ipi_sent=0 vm_exit=0 vmfunc=4 syscall=0 cr3_write=9 ipc_roundtrip=0 instruction=0 wrpkru=0 psc_hit=0 psc_miss=0 ept_walk_cache_hit=0 ept_walk_cache_miss=0 walk_cycles=4972 l1i=0/0 l1d=5098/228 l2=201/27 l3=0/27 itlb=0/0 dtlb=64/292 pml4e=0/0 pdpte=0/0 pde=0/0 ept_wc=0/0"
 
 let test_pinned_counters () =
   let digest enabled =
@@ -387,7 +387,7 @@ let test_hot_path_allocates_nothing () =
 (* ------------------------------------------------------------------ *)
 
 (* A guest unmap must fault on the very next access: neither the TLB,
-   the PSCs nor a hot line may serve the stale leaf. *)
+   nor the PSCs may serve the stale leaf. *)
 let test_stale_psc_after_unmap () =
   let machine = Machine.create ~cores:1 ~mem_mib:64 () in
   let mem = machine.Machine.mem and alloc = machine.Machine.alloc in
@@ -397,7 +397,7 @@ let test_stale_psc_after_unmap () =
   Page_table.map pt ~mem ~alloc ~va:0x400000 ~pa:frame ~flags:Pte.urw;
   Vcpu.write_cr3 vcpu ~cr3:(Page_table.root_pa pt) ~pcid:1;
   Vcpu.set_mode vcpu Vcpu.User;
-  (* Warm every structure: TLB, PSCs, and the hot line (3rd access). *)
+  (* Warm every structure: TLB and PSCs. *)
   for _ = 1 to 3 do
     ignore (Translate.translate vcpu mem Translate.data_read ~va:0x400000)
   done;
@@ -435,10 +435,10 @@ let test_stale_tlb_after_ept_unmap () =
   | other -> Alcotest.failf "expected ept_violation after EPT unmap, got %s" other
 
 (* Figure-6 configuration: the same VA resolves through different guest
-   page tables on either side of a VMFUNC (CR3-remap trick). The hot
-   line recorded for the client's ASID must never answer for the
+   page tables on either side of a VMFUNC (CR3-remap trick). A TLB
+   entry tagged with the client's ASID must never answer for the
    server's, and vice versa — with VPID on, so nothing is flushed. *)
-let test_hot_line_across_vmfunc () =
+let test_tlb_asid_across_vmfunc () =
   let machine = Machine.create ~cores:1 ~mem_mib:64 () in
   let mem = machine.Machine.mem and alloc = machine.Machine.alloc in
   let vcpu = Vcpu.create ~pcid_enabled:true (Machine.core machine 0) in
@@ -462,7 +462,7 @@ let test_hot_line_across_vmfunc () =
   Vcpu.write_cr3 vcpu ~cr3:(Page_table.root_pa client_pt) ~pcid:1;
   Vcpu.set_mode vcpu Vcpu.User;
   let xlate () = Translate.translate vcpu mem Translate.data_read ~va in
-  (* Three accesses: miss+record, then a genuine hot-line hit. *)
+  (* Three accesses: a miss and refill, then TLB hits. *)
   for _ = 1 to 3 do
     Alcotest.(check int) "client frame" client_frame (xlate ())
   done;
@@ -550,8 +550,8 @@ let () =
             test_stale_psc_after_unmap;
           Alcotest.test_case "EPT unmap faults immediately" `Quick
             test_stale_tlb_after_ept_unmap;
-          Alcotest.test_case "hot line respects VMFUNC ASID" `Quick
-            test_hot_line_across_vmfunc;
+          Alcotest.test_case "TLB ASID: same VA across VMFUNC" `Quick
+            test_tlb_asid_across_vmfunc;
         ] );
       ( "flush_paths",
         [

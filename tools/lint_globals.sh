@@ -22,16 +22,27 @@ cd "$(dirname "$0")/.."
 allow=tools/lint_globals.allow
 
 # A toplevel binding is flush-left `let`; we flag ones whose right-hand
-# side constructs mutable state on the same line.  Heuristic by design
-# -- false negatives are acceptable, the goal is a cheap reviewable
-# census, not a proof.
-pattern='^let [a-zA-Z_0-9]* *(: *[^=]*)?= *(ref |ref$|Hashtbl\.create|Array\.make|Array\.create|Bytes\.make|Bytes\.create|Buffer\.create|Queue\.create|Stack\.create|Atomic\.make|Mutex\.create)'
+# side constructs mutable state on the same line or, when the `let` line
+# ends in `=`, on the line after it.  Heuristic by design -- false
+# negatives are acceptable, the goal is a cheap reviewable census, not a
+# proof.
+head='let [a-zA-Z_0-9]* *(: *[^=]*)?='
+pattern="^[0-9]+:$head *(ref |ref\$|Hashtbl\\.create|Array\\.make|Array\\.create|Bytes\\.make|Bytes\\.create|Buffer\\.create|Queue\\.create|Stack\\.create|Atomic\\.make|Mutex\\.create)"
+
+# Every line as `N:text`, plus each `let ... =` line that ends there
+# joined to the line after it, under the `let` line's number.
+numbered() {
+  awk -v head="^$head *\$" '
+    { if (pn) print pn ":" prev " " $0
+      print NR ":" $0
+      if ($0 ~ head) { prev = $0; pn = NR } else pn = 0 }' "$1"
+}
 
 echo "== toplevel mutable host state in lib/ (enforcing) =="
 total=0
 bad=0
 for f in $(find lib -name '*.ml' | sort); do
-  hits=$(grep -nE "$pattern" "$f" || true)
+  hits=$(numbered "$f" | grep -E "$pattern" || true)
   [ -n "$hits" ] || continue
   while IFS= read -r line; do
     total=$((total + 1))
