@@ -7,7 +7,9 @@ type t = {
   kernel : Kernel.t;
   name : string;
   mutable word : int;
-  mutable pending : (int * int) list;  (** (virtual time, badge), oldest first *)
+  mutable first_at : int;
+      (** virtual time of the oldest signal since the word was last
+          consumed, or [-1] when there is none *)
   mutable waiters : int list;  (** cores blocked in [wait], oldest first *)
   mutable signals : int;
   mutable waits : int;
@@ -15,7 +17,16 @@ type t = {
 }
 
 let create kernel ~name =
-  { kernel; name; word = 0; pending = []; waiters = []; signals = 0; waits = 0; ipis = 0 }
+  { kernel; name; word = 0; first_at = -1; waiters = []; signals = 0; waits = 0; ipis = 0 }
+
+let rec kick t ~core = function
+  | [] -> ()
+  | w :: rest ->
+    if w <> core then begin
+      t.ipis <- t.ipis + 1;
+      Kernel.send_ipi t.kernel ~from_core:core ~to_core:w
+    end;
+    kick t ~core rest
 
 let signal t ~core ~badge =
   t.signals <- t.signals + 1;
@@ -23,52 +34,44 @@ let signal t ~core ~badge =
   let cpu = Kernel.cpu t.kernel ~core in
   Cpu.charge cpu 120 (* signal fastpath: word update + waiter check *);
   t.word <- t.word lor badge;
-  t.pending <- t.pending @ [ (Cpu.cycles cpu, badge) ];
+  (* [wait] only ever reads the oldest signal's time (the badges are
+     already in [word]), so later signals leave it alone. *)
+  if t.first_at < 0 then t.first_at <- Cpu.cycles cpu;
   (* Kick every blocked waiter: one IPI per remote core. N signals racing
      a single wait coalesce — the word accumulates, the waiters are only
      woken (and cleared) once. *)
-  List.iter
-    (fun w ->
-      if w <> core then begin
-        t.ipis <- t.ipis + 1;
-        Kernel.send_ipi t.kernel ~from_core:core ~to_core:w
-      end)
-    t.waiters;
+  kick t ~core t.waiters;
   t.waiters <- [];
   Kernel.kernel_exit t.kernel ~core
 
 let poll t ~core =
   Kernel.kernel_entry t.kernel ~core;
   Cpu.charge (Kernel.cpu t.kernel ~core) 80;
-  let r = if t.word = 0 then None else Some t.word in
-  if r <> None then begin
+  let w = t.word in
+  if w <> 0 then begin
     t.word <- 0;
-    t.pending <- []
+    t.first_at <- -1
   end;
   Kernel.kernel_exit t.kernel ~core;
-  r
+  if w = 0 then None else Some w
 
 let wait t ~core =
   t.waits <- t.waits + 1;
   Kernel.kernel_entry t.kernel ~core;
   let cpu = Kernel.cpu t.kernel ~core in
   Cpu.charge cpu 150 (* block/unblock bookkeeping *);
-  let deliver () =
-    let w = t.word in
-    t.word <- 0;
-    t.pending <- [];
-    t.waiters <- List.filter (fun c -> c <> core) t.waiters;
-    Kernel.kernel_exit t.kernel ~core;
-    w
-  in
   if t.word <> 0 then begin
     (* Something already pending: if it was signalled "later" than our
        current virtual time (a signaler on another core), block until
-       its delivery time. *)
-    (match t.pending with
-    | (at, _) :: _ -> Cpu.advance_to cpu at
-    | [] -> ());
-    deliver ()
+       its delivery time. A non-zero word always has a [first_at]. *)
+    Cpu.advance_to cpu t.first_at;
+    let w = t.word in
+    t.word <- 0;
+    t.first_at <- -1;
+    if List.mem core t.waiters then
+      t.waiters <- List.filter (fun c -> c <> core) t.waiters;
+    Kernel.kernel_exit t.kernel ~core;
+    w
   end
   else begin
     if not (List.mem core t.waiters) then t.waiters <- t.waiters @ [ core ];
@@ -83,19 +86,17 @@ let wait t ~core =
    signaling core runs), so callers embed this in a run loop — e.g.
    {!Sky_sim.Machine.interleave} — and treat [None] as "idle, let the
    other cores run". *)
-let wait_blocking ?(poll = 200) ?(polls = 1) t ~core =
-  let cpu = Kernel.cpu t.kernel ~core in
-  let rec go n =
-    match wait t ~core with
-    | w -> Some w
-    | exception Would_block ->
-      if n <= 0 then None
-      else begin
-        Cpu.charge cpu poll;
-        go (n - 1)
-      end
-  in
-  go polls
+let rec retry_wait t ~core ~poll n =
+  match wait t ~core with
+  | w -> Some w
+  | exception Would_block ->
+    if n <= 0 then None
+    else begin
+      Cpu.charge (Kernel.cpu t.kernel ~core) poll;
+      retry_wait t ~core ~poll (n - 1)
+    end
+
+let wait_blocking ?(poll = 200) ?(polls = 1) t ~core = retry_wait t ~core ~poll polls
 
 let signals t = t.signals
 let waits t = t.waits

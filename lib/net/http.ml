@@ -19,33 +19,37 @@ type response = { status : int; body : bytes }
 
 exception Bad_request of string
 
-let prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* The parsers read the packet in place: a prefix test and a separator
+   search on the bytes themselves, then one copy per field. *)
+let rec same_from p b i =
+  i = String.length p
+  || (Bytes.unsafe_get b i = String.unsafe_get p i && same_from p b (i + 1))
 
-let after p s = String.sub s (String.length p) (String.length s - String.length p)
+let prefix p b = Bytes.length b >= String.length p && same_from p b 0
+
+let rest_from b off = Bytes.sub_string b off (Bytes.length b - off)
 
 let parse_request b =
-  let s = Bytes.to_string b in
-  if prefix "GET /kv/" s then begin
-    let key = after "GET /kv/" s in
+  let len = Bytes.length b in
+  if prefix "GET /kv/" b then begin
+    let key = rest_from b 8 in
     if key = "" then raise (Bad_request "empty key");
     Kv_get key
   end
-  else if prefix "PUT /kv/" s then begin
-    let rest = after "PUT /kv/" s in
-    match String.index_opt rest ' ' with
+  else if prefix "PUT /kv/" b then begin
+    match Bytes.index_from_opt b 8 ' ' with
     | None -> raise (Bad_request "PUT without value")
     | Some i ->
-      let key = String.sub rest 0 i in
+      let key = Bytes.sub_string b 8 (i - 8) in
       if key = "" then raise (Bad_request "empty key");
-      Kv_put (key, Bytes.of_string (String.sub rest (i + 1) (String.length rest - i - 1)))
+      Kv_put (key, Bytes.sub b (i + 1) (len - i - 1))
   end
-  else if prefix "GET /fs/" s then begin
-    let name = after "GET /fs/" s in
+  else if prefix "GET /fs/" b then begin
+    let name = rest_from b 8 in
     if name = "" then raise (Bad_request "empty path");
     Fs_get name
   end
-  else raise (Bad_request (if String.length s > 32 then String.sub s 0 32 else s))
+  else raise (Bad_request (Bytes.sub_string b 0 (Int.min len 32)))
 
 (* Only requests that parse back to themselves are serialized: the PUT
    key ends at the first space, and an empty key or path is refused by
@@ -75,12 +79,11 @@ let serialize_response { status; body } =
   b
 
 let parse_response b =
-  let s = Bytes.to_string b in
-  match String.index_opt s ' ' with
+  match Bytes.index_opt b ' ' with
   | None -> raise (Bad_request "malformed response")
   | Some i ->
     let status =
-      match int_of_string_opt (String.sub s 0 i) with
+      match int_of_string_opt (Bytes.sub_string b 0 i) with
       | Some n -> n
       | None -> raise (Bad_request "non-numeric status")
     in
@@ -106,13 +109,12 @@ let with_ttl ~ttl payload =
   Bytes.cat (Bytes.of_string (Printf.sprintf "TTL%d " ttl)) payload
 
 let split_ttl payload =
-  let s = Bytes.to_string payload in
-  if not (prefix "TTL" s) then (None, payload)
+  if not (prefix "TTL" payload) then (None, payload)
   else
-    match String.index_opt s ' ' with
+    match Bytes.index_opt payload ' ' with
     | None -> (None, payload)
     | Some sp -> (
-      match int_of_string_opt (String.sub s 3 (sp - 3)) with
+      match int_of_string_opt (Bytes.sub_string payload 3 (sp - 3)) with
       | Some ttl when ttl > 0 ->
         (Some ttl, Bytes.sub payload (sp + 1) (Bytes.length payload - sp - 1))
       | _ -> (None, payload))

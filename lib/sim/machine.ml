@@ -80,77 +80,66 @@ let start_run t ~cores =
    quantum — so for any boundary placement the scheduling decisions and
    per-core trajectories are bit-identical to an unbounded run: the
    lowest-cycle-first rule never runs a core at/past the boundary while
-   another sits below it, which is exactly what parking enforces. *)
-let run_until t r ~step ~until =
+   another sits below it, which is exactly what parking enforces.
+
+   Each step is one index scan over the live cores and builds nothing,
+   so the loop allocates no host memory however many steps it takes. *)
+let rec run_until t r ~step ~until =
   let cores = r.r_cores in
   let n = Array.length cores in
-  let live () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if not r.r_finished.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  (* Consecutive steps with neither progress nor fresh wakeup targets:
-     the deadlock guard. Closed systems always have a next event, so
-     hitting the bound means a step function lied about being Idle. *)
-  let max_idle_streak = 64 * n in
-  let rec loop () =
-    match live () with
-    | [] -> `Done
-    | l -> (
-      match List.filter (fun j -> Cpu.cycles t.cores.(cores.(j)) < until) l with
-      | [] -> `Paused
-      | rl ->
-        (* Run the core furthest behind in virtual time — the
-           interleaving rule that makes a single-threaded simulation
-           behave like n concurrent cores. *)
-        let i =
-          List.fold_left
-            (fun best j ->
-              if
-                Cpu.cycles t.cores.(cores.(j))
-                < Cpu.cycles t.cores.(cores.(best))
-              then j
-              else best)
-            (List.hd rl) (List.tl rl)
-        in
-        let c = cores.(i) in
-        let cpu = t.cores.(c) in
-        let before = Cpu.cycles cpu in
-        (match step ~core:c with
-        | Progress -> r.r_idle_streak <- 0
-        | Done ->
-          r.r_finished.(i) <- true;
-          r.r_idle_streak <- 0
-        | Idle_until ts when ts > before ->
-          Cpu.advance_to cpu ts;
-          r.r_idle_streak <- 0
-        | Idle | Idle_until _ ->
-          (* Nothing to do at this virtual time: hop past the
-             next-lowest live core (parked ones included — they are
-             still events in this machine's future) so whoever can
-             unblock us runs first. *)
-          let next =
-            List.fold_left
-              (fun acc j ->
-                if j = i then acc
-                else min acc (Cpu.cycles t.cores.(cores.(j))))
-              max_int l
-          in
-          if next < max_int then Cpu.advance_to cpu (next + 1)
-          else Cpu.charge cpu 64 (* lone core: poll tick *);
-          r.r_idle_streak <- r.r_idle_streak + 1;
-          if r.r_idle_streak > max_idle_streak then
-            raise
-              (Stuck
-                 (Printf.sprintf
-                    "Machine.interleave: %d idle steps with no progress \
-                     (cores stuck at cycle %d)"
-                    r.r_idle_streak (Cpu.cycles cpu))));
-        loop ())
-  in
-  loop ()
+  (* Run the core furthest behind in virtual time — the interleaving
+     rule that makes a single-threaded simulation behave like n
+     concurrent cores. Ties go to the lowest index. *)
+  let live = ref false and i = ref (-1) and at = ref max_int in
+  for j = 0 to n - 1 do
+    if not r.r_finished.(j) then begin
+      live := true;
+      let c = Cpu.cycles t.cores.(cores.(j)) in
+      if c < until && c < !at then begin
+        i := j;
+        at := c
+      end
+    end
+  done;
+  if not !live then `Done
+  else if !i < 0 then `Paused
+  else begin
+    let i = !i in
+    let cpu = t.cores.(cores.(i)) in
+    let before = !at in
+    (match step ~core:cores.(i) with
+    | Progress -> r.r_idle_streak <- 0
+    | Done ->
+      r.r_finished.(i) <- true;
+      r.r_idle_streak <- 0
+    | Idle_until ts when ts > before ->
+      Cpu.advance_to cpu ts;
+      r.r_idle_streak <- 0
+    | Idle | Idle_until _ ->
+      (* Nothing to do at this virtual time: hop past the next-lowest
+         live core (parked ones included — they are still events in
+         this machine's future) so whoever can unblock us runs first. *)
+      let next = ref max_int in
+      for j = 0 to n - 1 do
+        if j <> i && not r.r_finished.(j) then
+          next := Int.min !next (Cpu.cycles t.cores.(cores.(j)))
+      done;
+      if !next < max_int then Cpu.advance_to cpu (!next + 1)
+      else Cpu.charge cpu 64 (* lone core: poll tick *);
+      r.r_idle_streak <- r.r_idle_streak + 1;
+      (* Consecutive steps with neither progress nor fresh wakeup
+         targets: the deadlock guard. Closed systems always have a next
+         event, so hitting the bound means a step function lied about
+         being Idle. *)
+      if r.r_idle_streak > 64 * n then
+        raise
+          (Stuck
+             (Printf.sprintf
+                "Machine.interleave: %d idle steps with no progress \
+                 (cores stuck at cycle %d)"
+                r.r_idle_streak (Cpu.cycles cpu))));
+    run_until t r ~step ~until
+  end
 
 let interleave t ~cores ~step =
   let r = start_run t ~cores in

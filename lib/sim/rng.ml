@@ -4,14 +4,22 @@
     synthetic binary corpus) flows through explicitly seeded generators so
     every experiment is reproducible run-to-run. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box every new state, 3 words per draw. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let next_int64 t =
+let create ~seed =
+  let t = Bytes.create 8 in
+  set64 t 0 (Int64.of_int seed);
+  t
+
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (get64 t 0) 0x9E3779B97F4A7C15L in
+  set64 t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)

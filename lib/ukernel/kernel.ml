@@ -177,8 +177,7 @@ let kpti_switch t ~core =
   let v = t.vcpus.(core) in
   Vcpu.write_cr3 v ~cr3:v.Vcpu.cr3 ~pcid:v.Vcpu.pcid
 
-let kernel_entry t ~core =
-  Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_entry" @@ fun () ->
+let entry_work t ~core =
   let c = cpu t ~core in
   Cpu.charge c (Costs.syscall + Costs.swapgs);
   Pmu.count (Cpu.pmu c) Pmu.Syscall_exec;
@@ -187,15 +186,13 @@ let kernel_entry t ~core =
   touch_kernel_text t ~core ~bytes:512 ~off:0;
   touch_kernel_data t ~core ~bytes:256 ~off:0
 
-let kernel_exit t ~core =
-  Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_exit" @@ fun () ->
+let exit_work t ~core =
   let c = cpu t ~core in
   Cpu.charge c (Costs.swapgs + Costs.sysret);
   if t.config.Config.kpti then kpti_switch t ~core;
   Vcpu.set_mode t.vcpus.(core) Vcpu.User
 
-let send_ipi t ~from_core ~to_core =
-  Sky_trace.Trace.span ~core:from_core ~cat:"ipi" "ipi" @@ fun () ->
+let ipi_work t ~from_core ~to_core =
   let src = cpu t ~core:from_core in
   Cpu.charge src Costs.ipi;
   Pmu.count (Cpu.pmu src) Pmu.Ipi_sent;
@@ -203,5 +200,23 @@ let send_ipi t ~from_core ~to_core =
   (* Delivery: the target observes the interrupt no earlier than the
      sender's send time. *)
   Cpu.advance_to (cpu t ~core:to_core) (Cpu.cycles src)
+
+(* Every notification signal and wait crosses these, so the span's
+   thunk is only built when tracing is on. *)
+let kernel_entry t ~core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_entry" (fun () -> entry_work t ~core)
+  else entry_work t ~core
+
+let kernel_exit t ~core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_exit" (fun () -> exit_work t ~core)
+  else exit_work t ~core
+
+let send_ipi t ~from_core ~to_core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:from_core ~cat:"ipi" "ipi" (fun () ->
+        ipi_work t ~from_core ~to_core)
+  else ipi_work t ~from_core ~to_core
 
 let user_compute t ~core ~cycles = Cpu.charge (cpu t ~core) cycles
