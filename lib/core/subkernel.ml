@@ -12,7 +12,6 @@ exception Bad_client_return of { server_id : int }
 exception Call_timeout of { server_id : int; elapsed : int }
 exception Server_crashed of { server_id : int }
 exception Binding_revoked of { server_id : int }
-exception Wx_violation of { pid : int; va : int }
 
 exception Audit_failed of Sky_analysis.Report.violation list
 
@@ -35,61 +34,37 @@ type server = {
   stack_vas : int array;
   key_table_pa : int;  (** backing frame of the calling-key table page *)
   deps : int list;
+  sdom : Backend.domain;
 }
-
-(* What a binding materializes as, per isolation backend: the VMFUNC
-   backend builds a binding EPT (an EPTP-list slot candidate); the MPK
-   backend precomputes the elevated PKRU view the call gate installs;
-   the filtered-syscall backend records the granted kernel entry point
-   (the grant itself lives in the kernel's {!Entry_filter}). *)
-type mech =
-  | Meptp of Ept.t
-  | Mpkey of { view : int; sproc : Proc.t }
-  | Mentry of int
 
 type binding = {
   b_server_id : int;
   server_key : int64;
   buffer_vas : int array;  (** one per server connection/stack *)
   buffer_pas : int array;  (** backing frames, for re-sharing on rebind *)
-  mech : mech;
-  mutable last_use : int;  (** for EPTP-list LRU eviction *)
+  mech : Backend.binding;
+  mutable last_use : int;  (** for the global binding budget's LRU *)
 }
-
-(* Only the VMFUNC backend ever puts a binding in an EPTP list, so the
-   installed list is Meptp-only by construction. *)
-let binding_ept_exn b =
-  match b.mech with
-  | Meptp e -> e
-  | Mpkey _ | Mentry _ -> invalid_arg "Subkernel: binding has no EPT"
 
 type pstate = {
   proc : Proc.t;
-  own_ept : Ept.t;
+  dom : Backend.domain;
   trampoline_text_pa : int;
   save_area_pa : int;  (** trampoline save area: callee-saved regs, per call *)
   regs : int64 array;  (** modelled register file (16 GPRs, §7 recovery) *)
   mutable bindings : binding list;
-  mutable installed : binding list;  (** subset currently in the EPTP list *)
   mutable revoked : int list;  (** server ids whose binding was revoked *)
-  mutable p_evictions : int;  (** EPTP-slot LRU evictions in this process *)
-  pkey : int;  (** MPK: the protection key tagging this domain (0 = none) *)
-  pkru_view : int;  (** MPK: resting PKRU view installed when scheduled *)
 }
 
 type t = {
   kernel : Kernel.t;
   root : Rootkernel.t;
   rng : Rng.t;
-  backend : Backend.kind;  (** the isolation mechanism carrying crossings *)
-  entry_filter : Entry_filter.t;
-      (** the filtered-syscall backend's per-domain grant table *)
-  mutable next_pkey : int;  (** MPK key allocator (virtualized mod 15) *)
+  backend : Backend.t;  (** the isolation mechanism carrying crossings *)
   mutable servers : server list;
   pstates : (int, pstate) Hashtbl.t;
   mutable next_server_id : int;
   mutable next_buffer_va : int;
-  max_eptp : int;
   max_bindings : int;  (** global fast-path binding budget *)
   mutable live_bindings : int;
   mutable slot_evictions : int;
@@ -97,14 +72,13 @@ type t = {
           degrade to slowpath IPC, they are not failed *)
   stats : Breakdown.t;
   mutable calls : int;
-  mutable evictions : int;
   sec_buf : string array;  (** bounded security-event ring *)
   mutable sec_next : int;
   mutable sec_count : int;
   mutable sec_dropped : int;
   active_client : pstate option array;  (** per core: live direct call *)
-  call_stack : (int * int) list array;
-      (** per core: (server_id, in-server since cycle), innermost first *)
+  call_stack : Backend.token list array;
+      (** per core: each in-flight frame's return state, innermost first *)
   mutable dead_servers : int list;
   mutable orphans : (int * int) list;  (** (client pid, server_id) to rebind *)
   fallback_ipc : Ipc.t;  (** kernel-mediated slowpath for revoked bindings *)
@@ -124,11 +98,11 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let rootkernel t = t.root
 let kernel t = t.kernel
-let backend t = t.backend
-let entry_filter t = t.entry_filter
+let backend t = Backend.kind t.backend
+let entry_filter t = Backend.entry_filter t.backend
 let stats t = t.stats
 let calls t = t.calls
-let evictions t = t.evictions
+let evictions t = Backend.evictions t.backend
 let slot_evictions t = t.slot_evictions
 let live_bindings t = t.live_bindings
 let trampoline_code t = t.trampoline_bytes
@@ -156,22 +130,16 @@ let forced_returns t = t.forced_returns
 let restarts t = t.restarts
 let dead_servers t = t.dead_servers
 
-let call_state t ~core =
-  match t.call_stack.(core) with [] -> None | frame :: _ -> Some frame
-
 let pstate_opt t proc = Hashtbl.find_opt t.pstates proc.Proc.pid
 
 let process_evictions t proc =
-  match pstate_opt t proc with Some ps -> ps.p_evictions | None -> 0
+  match pstate_opt t proc with
+  | Some ps -> Backend.domain_evictions ps.dom
+  | None -> 0
 
-(* Server ids currently occupying EPTP-list slots for [proc] (revoked
-   slots degenerate to the process's own EPT and are skipped). *)
 let installed_servers t proc =
   match pstate_opt t proc with
-  | Some ps ->
-    List.filter_map
-      (fun b -> if b.b_server_id >= 0 then Some b.b_server_id else None)
-      ps.installed
+  | Some ps -> Backend.resident_servers ps.dom
   | None -> []
 
 let on_binding_change t f = t.binding_hooks <- f :: t.binding_hooks
@@ -189,22 +157,13 @@ let bindings t =
     t.pstates []
   |> List.sort compare
 
-let eptp_list_of ps =
-  Ept.root_pa ps.own_ept
-  :: List.map (fun b -> Ept.root_pa (binding_ept_exn b)) ps.installed
-
 (* Install the EPTP list for [proc] on [core] — called from the kernel's
    context-switch hook. Only processes registered into SkyBridge carry a
    list; switching between unregistered processes keeps the base list
-   installed and costs no VM exit (Table 5). Under the MPK backend the
-   scheduled process additionally gets its resting PKRU view. *)
+   installed and costs no VM exit (Table 5). *)
 let install_for t ~core proc =
-  (match (t.backend, pstate_opt t proc) with
-  | Backend.Mpk, Some ps ->
-    (Kernel.vcpu t.kernel ~core).Vcpu.pkru <- ps.pkru_view
-  | _ -> ());
   match pstate_opt t proc with
-  | Some ps -> Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps)
+  | Some ps -> Backend.schedule t.backend ~core ps.dom
   | None ->
     let vmcs = t.root.Rootkernel.vmcses.(core) in
     let base = Ept.root_pa t.root.Rootkernel.base_ept in
@@ -219,7 +178,7 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
     match backend with Some b -> b | None -> Backend.get_default ()
   in
   let root = Rootkernel.boot ~vpid ~huge_ept kernel in
-  let trampoline_bytes = Trampoline.code_for backend in
+  let trampoline_bytes = Backend.trampoline_code backend in
   let trampoline_frame = Frame_alloc.alloc_frame (Kernel.alloc kernel) in
   Phys_mem.write_bytes (Kernel.mem kernel) trampoline_frame trampoline_bytes;
   let t =
@@ -227,20 +186,16 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       kernel;
       root;
       rng = Rng.create ~seed;
-      backend;
-      entry_filter = Entry_filter.create ();
-      next_pkey = 1;
+      backend = Backend.create backend kernel root ~trampoline_frame ~max_eptp;
       servers = [];
       pstates = Hashtbl.create 16;
       next_server_id = 1;
       next_buffer_va = Layout.skybridge_buffer_va;
-      max_eptp;
       max_bindings;
       live_bindings = 0;
       slot_evictions = 0;
       stats = Breakdown.create ();
       calls = 0;
-      evictions = 0;
       sec_buf = Array.make security_ring_capacity "";
       sec_next = 0;
       sec_count = 0;
@@ -312,33 +267,17 @@ let gadget_images t proc =
 
 (* Mandatory post-pass at registration: independently prove the rewrite
    result before the process gains a trampoline mapping. A process whose
-   executable pages cannot be verified must not join SkyBridge. Under
-   the MPK backend the same images must additionally prove free of
-   WRPKRU occurrences (ERIM's inspection requirement): a stray
-   [0F 01 EF] would let the domain rewrite its own PKRU. *)
+   executable pages cannot be verified must not join SkyBridge. *)
 let audit_registration t proc =
   let images = gadget_images t proc in
-  let vs = List.concat_map Sky_analysis.Gadget.audit images in
   let vs =
-    if t.backend = Backend.Mpk then
-      vs @ List.concat_map Sky_analysis.Gadget.audit_wrpkru images
-    else vs
+    List.concat_map Sky_analysis.Gadget.audit images
+    @ Backend.registration_violations t.backend images
   in
   if vs <> [] then begin
     List.iter (fun v -> security t (Sky_analysis.Report.to_string v)) vs;
     raise (Audit_failed vs)
   end
-
-(* The trampoline frame's permissions in a process/binding EPT (EPT
-   reading: bit 1 write, bit 2 execute): executable, never writable — the
-   base EPT's identity RWX huge page would otherwise let a process forge
-   the only legal VMFUNC-bearing page. *)
-let ept_trampoline_flags =
-  { Pte.present = true; writable = false; user = true; huge = false; nx = false }
-
-let harden_trampoline_ept t ept =
-  Ept.map_4k_flags ept ~mem:(Kernel.mem t.kernel) ~alloc:(Kernel.alloc t.kernel)
-    ~gpa:t.trampoline_frame ~hpa:t.trampoline_frame ~flags:ept_trampoline_flags
 
 let ensure_pstate t proc =
   match pstate_opt t proc with
@@ -349,36 +288,17 @@ let ensure_pstate t proc =
     (* Map the shared trampoline page (read-execute). *)
     Kernel.map_frames t.kernel proc ~va:Layout.trampoline_va
       ~pa:t.trampoline_frame ~len:4096 ~flags:Pte.urx;
-    let own_ept = Rootkernel.new_process_ept t.root proc in
-    harden_trampoline_ept t own_ept;
-    (* MPK: hand the domain a protection key and its resting view (own
-       key + the shared-buffer key 0). With more domains than the 15
-       non-default hardware keys, keys are virtualized round-robin —
-       domains sharing a key fall back to page-table separation, which
-       the Isoflow pkru-escape check accounts for. *)
-    let pkey =
-      match t.backend with
-      | Backend.Mpk ->
-        let k = ((t.next_pkey - 1) mod 15) + 1 in
-        t.next_pkey <- t.next_pkey + 1;
-        k
-      | Backend.Vmfunc | Backend.Syscall -> 0
-    in
+    let dom = Backend.domain t.backend proc in
     let ps =
       {
         proc;
-        own_ept;
+        dom;
         trampoline_text_pa = t.trampoline_frame;
         save_area_pa = Frame_alloc.alloc_frame (Kernel.alloc t.kernel);
         regs =
           Array.init 16 (fun i -> Int64.of_int ((proc.Proc.pid * 0x100) lor i));
         bindings = [];
-        installed = [];
         revoked = [];
-        p_evictions = 0;
-        pkey;
-        pkru_view =
-          (if t.backend = Backend.Mpk then Pkru.allow_only [ 0; pkey ] else 0);
       }
     in
     Hashtbl.replace t.pstates proc.Proc.pid ps;
@@ -437,7 +357,7 @@ let server_stack_va t ~server_id ~conn =
 
 let register_server t proc ?(connection_count = 8) ?(deps = []) handler =
   List.iter (fun d -> ignore (find_server t d)) deps;
-  let _ps = ensure_pstate t proc in
+  let ps = ensure_pstate t proc in
   (* Fault site "server.<name>": the handler crashes at dispatch or hangs
      past the watchdog budget (§7 DoS). *)
   let site = "server." ^ proc.Proc.name in
@@ -464,7 +384,8 @@ let register_server t proc ?(connection_count = 8) ?(deps = []) handler =
   Kernel.map_frames t.kernel proc ~va:table_va ~pa:key_table_pa ~len:4096
     ~flags:Pte.ur;
   t.servers <-
-    { server_id; sproc = proc; handler; connection_count; stack_vas; key_table_pa; deps }
+    { server_id; sproc = proc; handler; connection_count; stack_vas; key_table_pa; deps;
+      sdom = ps.dom }
     :: t.servers;
   Log.info (fun m ->
       m "registered server %d (%s), %d connections, deps [%s]" server_id
@@ -515,26 +436,8 @@ let fresh_key t =
 let bind_one t ps ~server_id ~key ~share_with =
   let srv = find_server t server_id in
   let mech =
-    match t.backend with
-    | Backend.Vmfunc ->
-      let ept = Rootkernel.bind_ept t.root ~client:ps.proc ~server:srv.sproc in
-      harden_trampoline_ept t ept;
-      Meptp ept
-    | Backend.Mpk ->
-      (* The elevated view the call gate installs for the handler's
-         duration: the server's key plus the shared-buffer key. *)
-      let spk =
-        match pstate_opt t srv.sproc with
-        | Some sps -> sps.pkey
-        | None -> invalid_arg "Subkernel.bind_one: server not registered"
-      in
-      Mpkey { view = Pkru.allow_only [ 0; spk ]; sproc = srv.sproc }
-    | Backend.Syscall ->
-      (* Grant the kernel entry point; the trap-time filter will match
-         it exactly. The gate page is the only blessed entry range. *)
-      Entry_filter.allow t.entry_filter ~pid:ps.proc.Proc.pid ~server:server_id
-        ~entry:Layout.trampoline_va;
-      Mentry Layout.trampoline_va
+    Backend.bind t.backend ps.dom ~client:ps.proc ~server:srv.sproc
+      ~server_dom:srv.sdom ~server_id
   in
   (* Shared buffers, one per server connection, mapped at the same VA in
      every address space of the call chain: the client, the target
@@ -568,11 +471,6 @@ let bind_one t ps ~server_id ~key ~share_with =
   in
   ps.bindings <- ps.bindings @ [ b ];
   t.live_bindings <- t.live_bindings + 1;
-  (match mech with
-  | Meptp _ ->
-    if List.length ps.installed + 1 < t.max_eptp then
-      ps.installed <- ps.installed @ [ b ]
-  | Mpkey _ | Mentry _ -> ());
   b
 
 (* The key a process uses to call [server_id]: its own binding's key. *)
@@ -692,35 +590,6 @@ let clear_key t srv ~client_pid ~key =
     Phys_mem.write_u64 mem (base + 8) 0L
   done
 
-(* A revoked binding's EPTP slot degenerates to the process's own EPT
-   root instead of being removed: in-flight nested frames hold slot
-   indices into the installed list, which must therefore keep its
-   positions stable. *)
-let dummy_binding ps =
-  {
-    b_server_id = -1;
-    server_key = 0L;
-    buffer_vas = [||];
-    buffer_pas = [||];
-    mech = Meptp ps.own_ept;
-    last_use = 0;
-  }
-
-(* Push the (changed) EPTP list to every core currently running the
-   process, preserving the live EPTP index (the list rewrite must not
-   switch address spaces under a running call). *)
-let refresh_lists t ps =
-  Array.iteri
-    (fun core running ->
-      match running with
-      | Some p when p == ps.proc ->
-        let vmcs = t.root.Rootkernel.vmcses.(core) in
-        let saved = Vmcs.current_index vmcs in
-        Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-        vmcs.Vmcs.current_index <- saved
-      | _ -> ())
-    t.kernel.Kernel.running
-
 let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
   match pstate_opt t proc with
   | None -> ()
@@ -730,20 +599,7 @@ let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
     | Some b ->
       ps.bindings <- List.filter (fun x -> x != b) ps.bindings;
       t.live_bindings <- t.live_bindings - 1;
-      (* Per-mechanism invalidation: the VMFUNC backend degenerates the
-         EPTP slot in place (in-flight nested frames hold slot indices);
-         the filtered-syscall backend erases the kernel grant, so the
-         very next trap is denied; the MPK backend has nothing standing
-         — the elevated view only ever exists inside the call gate and
-         the binding's disappearance already unreaches it. *)
-      (match b.mech with
-      | Meptp _ ->
-        ps.installed <-
-          List.map (fun x -> if x == b then dummy_binding ps else x)
-            ps.installed
-      | Mentry _ ->
-        Entry_filter.revoke t.entry_filter ~pid:proc.Proc.pid ~server:server_id
-      | Mpkey _ -> ());
+      Backend.revoke t.backend ps.dom b.mech ~client_pid:proc.Proc.pid ~server_id;
       if not (List.mem server_id ps.revoked) then
         ps.revoked <- server_id :: ps.revoked;
       (* [orphan = false] is the capability-revocation path: the teardown
@@ -772,7 +628,7 @@ let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
               done)
             b.buffer_vas)
         t.pstates;
-      refresh_lists t ps;
+      Backend.refresh t.backend ps.dom proc;
       security t
         (Printf.sprintf "revoked binding pid %d -> server %d: %s" proc.Proc.pid
            server_id reason);
@@ -901,122 +757,12 @@ let rebind t proc ~server_id =
 (* direct_server_call                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let binding_index ps b =
-  let rec go i = function
-    | [] -> None
-    | x :: rest -> if x == b then Some (i + 1) else go (i + 1) rest
-  in
-  go 0 ps.installed
-
-(* EPTP-list LRU eviction (§10 future work): make sure [b] occupies a
-   slot, evicting the least-recently-used binding when the list is
-   full. Requires a Rootkernel VMCALL to rewrite the list. *)
-let ensure_installed t ~core ps b =
-  let vmcs = t.root.Rootkernel.vmcses.(core) in
-  let refresh () =
-    (* Rewriting the EPTP list mid-call must not disturb the currently
-       installed EPTP (the hardware list update does not switch). *)
-    let saved_index = Vmcs.current_index vmcs in
-    Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-    vmcs.Vmcs.current_index <- saved_index
-  in
-  match binding_index ps b with
-  | Some idx ->
-    (* The list in the VMCS may predate this binding (registered after
-       the client was last scheduled): refresh it if stale. *)
-    if Vmcs.eptp_at vmcs ~index:idx <> Ept.root_pa (binding_ept_exn b) then
-      refresh ();
-    idx
-  | None ->
-    let saved_index = Vmcs.current_index vmcs in
-    let victim =
-      List.fold_left
-        (fun acc x -> match acc with
-          | None -> Some x
-          | Some v -> if x.last_use < v.last_use then Some x else acc)
-        None ps.installed
-    in
-    (match victim with
-    | Some v when List.length ps.installed + 1 >= t.max_eptp ->
-      ps.installed <-
-        List.map (fun x -> if x == v then b else x) ps.installed;
-      t.evictions <- t.evictions + 1;
-      ps.p_evictions <- ps.p_evictions + 1
-    | _ -> ps.installed <- ps.installed @ [ b ]);
-    Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-    vmcs.Vmcs.current_index <- saved_index;
-    (match binding_index ps b with Some i -> i | None -> assert false)
-
-(* ---- the per-mechanism crossing ----
-
-   [cross_enter] switches the vCPU into the server's domain and returns
-   the token [cross_leave] needs to switch back; the pair is the only
-   place the three mechanisms differ on the hot path. The VMFUNC legs
-   are byte-for-byte the original EPTP switches (the cost-neutrality
-   gate holds the pingpong budget to ±2%). *)
-type cross_token =
-  | Tindex of int  (** VMFUNC: the EPTP index to return to *)
-  | Tpkru of { pkru : int; cr3 : int; pcid : int }  (** MPK: client state *)
-  | Tcr3 of { cr3 : int; pcid : int }  (** syscall: client translation *)
-
-let cross_enter t ~core vcpu ps b srv ~idx =
-  match b.mech with
-  | Meptp _ ->
-    let idx = match idx with Some i -> i | None -> assert false in
-    let return_index = Vmcs.current_index (Vcpu.vmcs_exn vcpu) in
-    Vmfunc.execute vcpu ~func:0 ~index:idx;
-    Tindex return_index
-  | Mpkey { view; sproc } ->
-    let token =
-      Tpkru { pkru = vcpu.Vcpu.pkru; cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid }
-    in
-    (* The architectural switch is the WRPKRU alone: no EPTP change, no
-       CR3 write, no flush. The CR3/PCID assignment below is the
-       single-address-space emulation — under MPK client and server
-       share one address space, which this machine models by viewing
-       the server's page tables uncharged. Giving the borrowed view the
-       server's own PCID tag keeps the TLB sound without a flush: the
-       client's untagged entries stay filed under its own ASID. *)
-    Wrpkru.execute vcpu ~pkru:view;
-    vcpu.Vcpu.cr3 <- Proc.cr3 sproc;
-    vcpu.Vcpu.pcid <- sproc.Proc.pid;
-    token
-  | Mentry entry ->
-    let token = Tcr3 { cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid } in
-    (* The filtered kernel slowpath: trap, check the grant table before
-       anything else, then a full (flushing) CR3 switch into the
-       server. A missing grant is denied at the cheapest point. *)
-    Kernel.kernel_entry t.kernel ~core;
-    Cpu.charge (Kernel.cpu t.kernel ~core) Costs.entry_filter_check;
-    if
-      not
-        (Entry_filter.check t.entry_filter ~pid:ps.proc.Proc.pid
-           ~server:b.b_server_id ~entry)
-    then begin
-      Kernel.kernel_exit t.kernel ~core;
-      security t
-        (Printf.sprintf "entry filter denied pid %d -> server %d"
-           ps.proc.Proc.pid b.b_server_id);
-      raise (Binding_revoked { server_id = b.b_server_id })
-    end;
-    Vcpu.write_cr3 vcpu ~cr3:(Proc.cr3 srv.sproc) ~pcid:srv.sproc.Proc.pid;
-    Kernel.kernel_exit t.kernel ~core;
-    token
-
-let cross_leave t ~core vcpu token =
-  match token with
-  | Tindex return_index -> Vmfunc.execute vcpu ~func:0 ~index:return_index
-  | Tpkru { pkru; cr3; pcid } ->
-    Wrpkru.execute vcpu ~pkru;
-    vcpu.Vcpu.cr3 <- cr3;
-    vcpu.Vcpu.pcid <- pcid
-  | Tcr3 { cr3; pcid } ->
-    (* Returning is a kernel round trip too: trap, validate the return
-       frame, switch back to the client's translation. *)
-    Kernel.kernel_entry t.kernel ~core;
-    Cpu.charge (Kernel.cpu t.kernel ~core) Costs.entry_filter_check;
-    Vcpu.write_cr3 vcpu ~cr3 ~pcid;
-    Kernel.kernel_exit t.kernel ~core
+(* The mechanism refused the crossing before the client left its space:
+   the call fails closed, as for a revoked binding. *)
+let deny t ps ~server_id why =
+  security t
+    (Printf.sprintf "%s pid %d -> server %d" why ps.proc.Proc.pid server_id);
+  raise (Binding_revoked { server_id })
 
 let guest_copy_out t ~core va data =
   Translate.write_bytes (Kernel.vcpu t.kernel ~core) (Kernel.mem t.kernel) ~va data
@@ -1129,13 +875,15 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
       if t.active_client.(core) = None then
         Kernel.context_switch t.kernel ~core ps.proc;
       t.calls <- t.calls + 1;
-      t.calls |> fun n -> b.last_use <- n;
-      (* EPTP-slot residency is a VMFUNC-backend concern; prepared
-         outside the measured crossing, as before the backend split. *)
+      b.last_use <- t.calls;
+      (* Slot residency is prepared outside the measured crossing. *)
       let idx =
-        match b.mech with
-        | Meptp _ -> Some (ensure_installed t ~core ps b)
-        | Mpkey _ | Mentry _ -> None
+        match
+          Backend.resident t.backend ~core ps.dom b.mech ~server_id ~now:t.calls
+            ~frames:t.call_stack.(core)
+        with
+        | idx -> idx
+        | exception Backend.Denied why -> deny t ps ~server_id why
       in
       let start = Cpu.cycles cpu in
       let walk0 = Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles in
@@ -1174,9 +922,16 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
          a nested call (the FS returning from the disk driver must land
          back in the FS's address space, not the client's); the MPK and
          syscall tokens capture the analogous client state. *)
-      let token = cross_enter t ~core vcpu ps b srv ~idx in
+      let token =
+        match
+          Backend.cross_enter t.backend ~core vcpu b.mech ~client:ps.proc
+            ~server:srv.sproc ~server_id ~idx
+        with
+        | token -> token
+        | exception Backend.Denied why -> deny t ps ~server_id why
+      in
       t.active_client.(core) <- Some ps;
-      t.call_stack.(core) <- (server_id, start) :: t.call_stack.(core);
+      t.call_stack.(core) <- token :: t.call_stack.(core);
       let returned = ref false in
       let pop_frame () =
         match t.call_stack.(core) with
@@ -1186,7 +941,7 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
       let finish_return reply =
         (* --- cross back, restore --- *)
         Fault.leave_scope ();
-        cross_leave t ~core vcpu token;
+        Backend.cross_leave t.backend ~core vcpu token;
         t.active_client.(core) <- outer;
         pop_frame ();
         Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
@@ -1203,7 +958,7 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
         t.forced_returns <- t.forced_returns + 1;
         Sky_trace.Trace.span ~core ~cat:"recovery" "recovery.forced_return"
         @@ fun () ->
-        cross_leave t ~core vcpu token;
+        Backend.cross_leave t.backend ~core vcpu token;
         t.active_client.(core) <- outer;
         pop_frame ();
         Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
@@ -1284,16 +1039,7 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
             end
             else reply
           in
-          (* Accounting (Figure 7 categories): the two switch legs land
-             in the domain-switch bucket for the user-level mechanisms
-             and the syscall bucket for the kernel-mediated one. *)
-          (match t.backend with
-          | Backend.Vmfunc | Backend.Mpk ->
-            t.stats.Breakdown.vmfunc <-
-              t.stats.Breakdown.vmfunc + (2 * Backend.switch_cycles t.backend)
-          | Backend.Syscall ->
-            t.stats.Breakdown.syscall <-
-              t.stats.Breakdown.syscall + (2 * Backend.switch_cycles t.backend));
+          Backend.account (Backend.kind t.backend) t.stats;
           t.stats.Breakdown.other <-
             t.stats.Breakdown.other + (2 * Trampoline.crossing_cycles);
           t.stats.Breakdown.copy <- t.stats.Breakdown.copy + !copy_cycles;
@@ -1429,15 +1175,13 @@ let binding_ept t proc ~server_id =
   | None -> None
   | Some ps ->
     List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings
-    |> fun o ->
-    Option.bind o (fun b ->
-        match b.mech with Meptp e -> Some e | Mpkey _ | Mentry _ -> None)
+    |> fun o -> Option.bind o (fun b -> Backend.binding_ept b.mech)
 
 (* Test accessor: the MPK identity of a registered process. *)
 let mpk_view t proc =
   match pstate_opt t proc with
-  | Some ps when t.backend = Backend.Mpk -> Some (ps.pkey, ps.pkru_view)
-  | _ -> None
+  | Some ps -> Backend.mpk_view t.backend ps.dom
+  | None -> None
 
 (* Lower the live machine into Isoflow's input: every registered process
    is both a domain (a set of VMFUNC-reachable EPTP slots) and a space
@@ -1464,14 +1208,11 @@ let isoflow_input ?granted t =
           Sky_analysis.Isoflow.d_pid = ps.proc.Proc.pid;
           d_name = ps.proc.Proc.name;
           d_cr3 = Proc.cr3 ps.proc;
-          d_slots = List.mapi (fun i root -> (i, root)) (eptp_list_of ps);
+          d_slots = List.mapi (fun i root -> (i, root)) (Backend.eptp_list ps.dom);
           d_allowed =
-            Ept.root_pa ps.own_ept
+            Ept.root_pa (Backend.own_ept ps.dom)
             :: List.filter_map
-                 (fun b ->
-                   match b.mech with
-                   | Meptp e -> Some (Ept.root_pa e)
-                   | Mpkey _ | Mentry _ -> None)
+                 (fun b -> Option.map Ept.root_pa (Backend.binding_ept b.mech))
                  ps.bindings;
         })
       pstates
@@ -1534,24 +1275,7 @@ let isoflow_input ?granted t =
     trampoline_va = Layout.trampoline_va;
     trampoline_gpa = t.trampoline_frame;
     trampoline_bytes = live_trampoline t;
-    mpk =
-      (match t.backend with
-      | Backend.Mpk ->
-        Some
-          {
-            Sky_analysis.Isoflow.m_domains =
-              List.map
-                (fun ps ->
-                  {
-                    Sky_analysis.Isoflow.m_pid = ps.proc.Proc.pid;
-                    m_name = ps.proc.Proc.name;
-                    m_key = ps.pkey;
-                    m_view = ps.pkru_view;
-                  })
-                pstates;
-            m_shared_key = 0;
-          }
-      | Backend.Vmfunc | Backend.Syscall -> None);
+    mpk = Backend.isoflow_mpk t.backend (List.map (fun ps -> (ps.proc, ps.dom)) pstates);
   }
 
 (* The full pass-registry input for this machine. *)
@@ -1560,45 +1284,27 @@ let audit_input ?granted t =
   let tramp = live_trampoline t in
   let allowed = Trampoline.vmfunc_ranges t.trampoline_bytes in
   let pstates = sorted_pstates t in
+  let proc_images = List.concat_map (fun ps -> gadget_images t ps.proc) pstates in
   let images =
     Sky_analysis.Gadget.image ~name:"trampoline" ~va:Layout.trampoline_va
       ~allowed tramp
-    :: List.concat_map (fun ps -> gadget_images t ps.proc) pstates
+    :: proc_images
   in
-  (* The MPK backend's WRPKRU scan: same images, but the allowed ranges
-     are the call gate's two WRPKRUs rather than VMFUNCs. *)
   let wrpkru_images =
-    match t.backend with
-    | Backend.Mpk ->
-      Sky_analysis.Gadget.image ~name:"trampoline" ~va:Layout.trampoline_va
-        ~allowed:(Trampoline.wrpkru_ranges t.trampoline_bytes)
-        tramp
-      :: List.concat_map (fun ps -> gadget_images t ps.proc) pstates
-    | Backend.Vmfunc | Backend.Syscall -> []
-  in
-  let entry_filter =
-    match t.backend with
-    | Backend.Syscall ->
-      Some
-        {
-          Sky_analysis.Audit.ef_entries = Entry_filter.entries t.entry_filter;
-          ef_blessed = [ (Layout.trampoline_va, 4096) ];
-        }
-    | Backend.Vmfunc | Backend.Mpk -> None
+    Backend.wrpkru_images t.backend ~code:t.trampoline_bytes ~tramp proc_images
   in
   let epts =
     List.concat_map
       (fun ps ->
-        (Printf.sprintf "ept:%s" ps.proc.Proc.name, Ept.root_pa ps.own_ept)
+        (Printf.sprintf "ept:%s" ps.proc.Proc.name, Ept.root_pa (Backend.own_ept ps.dom))
         :: List.filter_map
              (fun b ->
-               match b.mech with
-               | Meptp e ->
-                 Some
+               Option.map
+                 (fun e ->
                    ( Printf.sprintf "ept:%s->server%d" ps.proc.Proc.name
                        b.b_server_id,
-                     Ept.root_pa e )
-               | Mpkey _ | Mentry _ -> None)
+                     Ept.root_pa e ))
+                 (Backend.binding_ept b.mech))
              ps.bindings)
       pstates
   in
@@ -1628,8 +1334,9 @@ let audit_input ?granted t =
     }
   in
   Sky_analysis.Audit.input ~images ~wrpkru_images ~machine
-    ~trampolines:[ ("trampoline", tramp, Backend.tramp_flavor t.backend) ]
-    ?entry_filter ~isoflow:(isoflow_input ?granted t) ()
+    ~trampolines:[ ("trampoline", tramp, Backend.tramp_flavor (Backend.kind t.backend)) ]
+    ?entry_filter:(Backend.entry_filter_audit t.backend)
+    ~isoflow:(isoflow_input ?granted t) ()
 
 (* Whole-machine audit through the unified pass registry; the dynamic
    callee-saved check (live register state, not lowerable to plain data)

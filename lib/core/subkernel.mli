@@ -26,11 +26,9 @@ exception Server_crashed of { server_id : int }
     client was forced back to its own EPT (§7 recovery). *)
 
 exception Binding_revoked of { server_id : int }
-(** The binding was revoked (EPT fault, revocation storm, reaping) and
-    the call could not proceed on the direct path. *)
-
-exception Wx_violation of { pid : int; va : int }
-(** A process stored to one of its executable pages (§9 W^X). *)
+(** The binding was revoked (EPT fault, revocation storm, reaping), or
+    the mechanism refused the crossing (entry filter, no EPTP slot free
+    of in-flight frames): the call could not proceed on the direct path. *)
 
 exception Audit_failed of Sky_analysis.Report.violation list
 (** The mandatory post-registration gadget audit found a VMFUNC encoding
@@ -49,7 +47,9 @@ val init :
 (** Boots the Rootkernel under the given kernel (the one line of Subkernel
     boot code, §3.2) and hooks context switches to install EPTP lists.
     [max_eptp] (default 512) bounds the per-process EPTP list; binding
-    more servers than fit triggers the LRU-eviction extension (§10).
+    more servers than fit triggers the LRU-eviction extension (§10),
+    which never evicts a slot an in-flight call runs in or returns to
+    (a nested call finding no other slot fails with {!Binding_revoked}).
     [max_bindings] (default unlimited) caps the {e global} number of live
     fast-path bindings: exceeding it retires the least-recently-calling
     process's bindings permanently ([revoke_binding ~orphan:false]), so
@@ -164,11 +164,6 @@ val dead_servers : t -> int list
 val degraded_calls : t -> int
 val forced_returns : t -> int
 val restarts : t -> int
-
-val call_state : t -> core:int -> (int * int) option
-(** Per-connection call state: [Some (server_id, since)] while the
-    client on [core] executes inside a server's space (innermost frame),
-    [None] when idle. *)
 
 val thread_regs : t -> Sky_ukernel.Proc.t -> int64 array
 (** The process's modelled register file (16 GPRs, indexed by

@@ -178,8 +178,8 @@ type stack = {
           request budget as a backend call timeout *)
 }
 
-let assemble ~variant ~seed ~cores ~disk_blocks ?max_eptp ?max_bindings
-    ?retry_budget ~workers ~transport () =
+let assemble ~variant ~seed ~cores ~disk_blocks ?retry_budget ~workers
+    ~transport () =
   if workers < 1 || workers > cores then
     invalid_arg "Web.build: workers must be in [1, cores]";
   let machine = Machine.create ~cores ~mem_mib:128 () in
@@ -202,7 +202,7 @@ let assemble ~variant ~seed ~cores ~disk_blocks ?max_eptp ?max_bindings
   let sb, mesh, rstats, fs_cell, bind =
     match transport with
     | Skybridge ->
-      let sb = Subkernel.init ?max_eptp ?max_bindings ~seed kernel in
+      let sb = Subkernel.init ~seed kernel in
       (* URI addressing through the mesh: servers register under their
          scheme, workers are granted capabilities and call by URI — no
          flat sid plumbing reaches the worker bindings. *)
@@ -398,15 +398,15 @@ type open_t = {
 
 let build_open ?(variant = Config.Sel4) ?(seed = 42)
     ?(requests_per_conn = default_requests_per_conn)
-    ?(mix = Loadgen.default_mix) ?(disk_blocks = 4096) ?max_eptp ?max_bindings
-    ?(retry_budget = true) ?(admission = Httpd.no_admission) ?ttl
-    ?(keys_per_tenant = 4) ~tenants ~mean_gap ~total ~workers ~transport () =
+    ?(mix = Loadgen.default_mix) ?(disk_blocks = 4096) ?(retry_budget = true)
+    ?(admission = Httpd.no_admission) ?ttl ?(keys_per_tenant = 4) ~tenants
+    ~mean_gap ~total ~workers ~transport () =
   (* One extra core: the wire-side arrival pump. *)
   let cores = workers + 1 in
   let budget = if retry_budget then Some (Retry.budget ~seed ()) else None in
   let st =
-    assemble ~variant ~seed ~cores ~disk_blocks ?max_eptp ?max_bindings
-      ?retry_budget:budget ~workers ~transport ()
+    assemble ~variant ~seed ~cores ~disk_blocks ?retry_budget:budget ~workers
+      ~transport ()
   in
   let files = provision_files !(st.st_fs_cell) ~seed in
   (* Warm the per-tenant keyspace server-side before any traffic: the

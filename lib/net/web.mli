@@ -136,8 +136,6 @@ val build_open :
   ?requests_per_conn:int ->
   ?mix:Loadgen.mix ->
   ?disk_blocks:int ->
-  ?max_eptp:int ->
-  ?max_bindings:int ->
   ?retry_budget:bool ->
   ?admission:Httpd.admission ->
   ?ttl:int ->
@@ -156,9 +154,7 @@ val build_open :
     stamps a relative deadline on every request wire-side; [admission]
     configures the server's queue bounds / default deadline / batching;
     [retry_budget] (default true) bounds crash-recovery retries with a
-    token bucket so retries cannot amplify overload; [max_eptp] /
-    [max_bindings] throttle the SkyBridge translation-table budgets for
-    eviction studies. Tenant warm keys are provisioned server-side
+    token bucket so retries cannot amplify overload. Tenant warm keys are provisioned server-side
     before traffic starts. *)
 
 val run_open : open_t -> unit

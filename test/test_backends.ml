@@ -10,8 +10,6 @@ open Sky_sim
 open Sky_ukernel
 open Sky_core
 module Fault = Sky_faults.Fault
-module Descriptor = Sky_backends.Descriptor
-module Registry = Sky_backends.Registry
 
 let with_faults f = Fun.protect ~finally:Fault.disable f
 
@@ -276,22 +274,20 @@ let test_trampoline_flavors () =
     (check `Vmfunc (Sky_core.Trampoline.syscall_code ()) <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Registry + cost ordering                                            *)
+(* Names, parsing and cost ordering                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_registry () =
   Alcotest.(check (list string)) "names" [ "vmfunc"; "mpk"; "syscall" ]
-    (Registry.names ());
+    (List.map Backend.name Backend.all);
   List.iter
-    (fun d ->
-      match Registry.of_string (Descriptor.name d) with
-      | Some d' ->
-        Alcotest.(check bool) "roundtrip" true
-          (Descriptor.kind d' = Descriptor.kind d)
+    (fun k ->
+      match Backend.of_string (Backend.name k) with
+      | Some k' -> Alcotest.(check bool) "roundtrip" true (k' = k)
       | None -> Alcotest.fail "of_string failed")
-    Registry.all;
-  Alcotest.(check bool) "unknown rejected" true (Registry.of_string "ept" = None);
-  let leg k = Descriptor.switch_cycles (Registry.find k) in
+    Backend.all;
+  Alcotest.(check bool) "unknown rejected" true (Backend.of_string "ept" = None);
+  let leg = Backend.switch_cycles in
   Alcotest.(check bool) "mpk < vmfunc < syscall per leg" true
     (leg Backend.Mpk < leg Backend.Vmfunc
     && leg Backend.Vmfunc < leg Backend.Syscall)
@@ -301,7 +297,7 @@ let test_registry () =
    trails both. *)
 let test_cost_ordering_measured () =
   let cycles backend =
-    Registry.with_backend backend (fun () ->
+    Backend.with_default backend (fun () ->
         (Sky_experiments.Exp_pingpong.measure_full ())
           .Sky_experiments.Exp_pingpong.f_cycles_per_call)
   in
@@ -314,6 +310,28 @@ let test_cost_ordering_measured () =
   Alcotest.(check bool)
     (Printf.sprintf "vmfunc %d < syscall %d" v s)
     true (v < s)
+
+(* Host minor words per direct call, pinned per mechanism: the pingpong
+   rig (96-page sweep + one call, warmed up) allocates exactly the same
+   words on every run, so a crossing that starts allocating shows here
+   under MPK and syscall too, not only in [skybench perf]'s VMFUNC gate. *)
+let test_words_per_call () =
+  List.iter
+    (fun (backend, pin) ->
+      let words =
+        Backend.with_default backend @@ fun () ->
+        Sky_experiments.Exp_pingpong.with_rig @@ fun ~cpu:_ ~sb:_ ~one ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          one ()
+        done;
+        int_of_float (Gc.minor_words () -. w0) / 1000
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words/call <= %d" (Backend.name backend) words
+           pin)
+        true (words <= pin))
+    [ (Backend.Vmfunc, 440); (Backend.Mpk, 438); (Backend.Syscall, 444) ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: cross-backend equivalence                                   *)
@@ -449,6 +467,7 @@ let () =
           t "registry + static ordering" test_registry;
           t "measured ordering: mpk < vmfunc < syscall"
             test_cost_ordering_measured;
+          t "host words per call pinned per backend" test_words_per_call;
         ] );
       ("equivalence", qc [ equivalence_sweep ]);
     ]

@@ -623,6 +623,50 @@ let test_eptp_lru_never_evicts_recent () =
   | Ok (r, _) -> Alcotest.(check int) "b still answers" 4 (Bytes.length r)
   | Error _ -> Alcotest.fail "evicted binding must degrade, not fail"
 
+(* The client calls A, whose handler calls its dependency B. Returns
+   the address space A's handler runs in before and after the nested
+   call, what the nested call raised, the outer result and the EPTP
+   evictions. *)
+let nested_call ~max_eptp =
+  let k, sb = make ~max_eptp () in
+  let client = spawn_with_code k "client" in
+  let a_proc = spawn_with_code k "a" and b_proc = spawn_with_code k "b" in
+  let b = Subkernel.register_server sb b_proc echo in
+  let before = ref 0 and after = ref 0 and nested = ref None in
+  let a_handler ~core msg =
+    before := Subkernel.current_identity sb ~core;
+    (try ignore (Subkernel.direct_server_call sb ~core ~client ~server_id:b msg)
+     with e -> nested := Some e);
+    after := Subkernel.current_identity sb ~core;
+    Option.iter raise !nested;
+    msg
+  in
+  let a = Subkernel.register_server sb a_proc ~deps:[ b ] a_handler in
+  Subkernel.register_client_to_server sb client ~server_id:a;
+  Kernel.context_switch k ~core:0 client;
+  let r = Subkernel.call sb ~core:0 ~client ~server_id:a (Bytes.create 4) in
+  (a_proc.Proc.pid, !before, !after, !nested, r, Subkernel.evictions sb)
+
+let test_nested_eviction_spares_outer_slot () =
+  (* Room for both bindings: the nested call succeeds in place. *)
+  let a_pid, before, after, nested, r, ev = nested_call ~max_eptp:3 in
+  Alcotest.(check int) "A runs in A's space" a_pid before;
+  Alcotest.(check int) "still A's space after the nested call" a_pid after;
+  Alcotest.(check bool) "nested call ok" true (nested = None);
+  Alcotest.(check bool) "outer call ok" true (Result.is_ok r);
+  Alcotest.(check int) "no eviction" 0 ev;
+  (* max_eptp = 2: one binding slot, and A's handler runs in it. Taking it
+     for B would leave A executing under B's EPT; the nested call must
+     fail closed instead, forcing the client back. *)
+  let a_pid, before, after, nested, r, ev = nested_call ~max_eptp:2 in
+  Alcotest.(check int) "A runs in A's space" a_pid before;
+  Alcotest.(check int) "A's slot not evicted under it" a_pid after;
+  Alcotest.(check int) "no eviction" 0 ev;
+  Alcotest.(check bool) "nested call refused" true
+    (match nested with Some (Subkernel.Binding_revoked _) -> true | _ -> false);
+  Alcotest.(check bool) "outer call revoked" true
+    (match r with Error (Subkernel.Revoked _) -> true | _ -> false)
+
 let test_max_bindings_global_budget () =
   (* Global budget of 4 live fast-path bindings across 6 single-binding
      clients: the least-recently-calling processes are retired to
@@ -778,6 +822,8 @@ let () =
             test_eptp_slot_reuse;
           Alcotest.test_case "LRU never evicts recently-touched" `Quick
             test_eptp_lru_never_evicts_recent;
+          Alcotest.test_case "nested eviction spares in-flight slots" `Quick
+            test_nested_eviction_spares_outer_slot;
           Alcotest.test_case "global max_bindings retires LRU process" `Quick
             test_max_bindings_global_budget;
         ] );
