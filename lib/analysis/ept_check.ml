@@ -51,9 +51,9 @@ let check_trampoline_ept inp name root vs =
         detail
       :: !vs
   in
-  match Ept.walk_flags ~mem:inp.mem ~root_pa:root ~gpa:inp.trampoline_gpa with
+  match Ept.walk ~mem:inp.mem ~root_pa:root ~gpa:inp.trampoline_gpa with
   | Error (Ept.Ept_not_present _) -> fail "trampoline gpa does not translate"
-  | Ok (_, flags) ->
+  | Ok { Ept.flags; _ } ->
     if flags.Pte.huge then
       fail "trampoline gpa still covered by a huge identity mapping (writable)"
     else begin

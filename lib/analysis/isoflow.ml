@@ -121,11 +121,8 @@ let ept_translate ~mem ~ept gpa =
 
 let ept_translate_flags ~mem ~ept gpa =
   match Ept.walk ~mem ~root_pa:ept ~gpa with
+  | Ok { Ept.hpa; flags; _ } -> Some (hpa, flags)
   | Error (Ept.Ept_not_present _) -> None
-  | Ok { Ept.hpa; _ } -> (
-    match Ept.walk_flags ~mem ~root_pa:ept ~gpa with
-    | Ok (_, flags) -> Some (hpa, flags)
-    | Error _ -> None)
 
 type eff = { f_r : bool; f_w : bool; f_x : bool }
 

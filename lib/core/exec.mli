@@ -3,7 +3,10 @@
     Fetches instruction bytes {e through the simulated MMU} (i-TLB,
     nested page walks, i-cache) and executes them with real register and
     guest-memory semantics; a [Vmfunc] instruction performs the actual
-    EPTP switch on the vCPU. This closes the loop on the reproduction's
+    EPTP switch on the vCPU. The instruction semantics are
+    {!Sky_isa.Interp.step}'s, the same the rewriter is verified against;
+    this module adds only the translated, charged memory and the
+    privileged instructions. This closes the loop on the reproduction's
     central artifact: the trampoline page the Subkernel maps is not just
     scanned — it can be {e run}, and running it really moves the core
     into the server's address space (tested in test/test_core.ml).
@@ -15,8 +18,7 @@
 
 type stop =
   [ `Returned  (** RET popped the sentinel return address *)
-  | `Syscall  (** SYSCALL executed; RIP is past it *)
-  | `Fell_off  (** execution left the executable mapping *) ]
+  | `Syscall  (** SYSCALL executed; RIP is past it *) ]
 
 exception Exec_fault of string
 

@@ -85,7 +85,6 @@ type t = {
   fallback_eps : (int, Ipc.endpoint) Hashtbl.t;
   mutable degraded_calls : int;
   mutable forced_returns : int;
-  mutable restarts : int;
   trampoline_frame : int;  (** one shared physical frame for the code page *)
   trampoline_bytes : bytes;
   mutable binding_hooks : (server_id:int -> unit) list;
@@ -127,7 +126,6 @@ let security_events t =
 let security_events_dropped t = t.sec_dropped
 let degraded_calls t = t.degraded_calls
 let forced_returns t = t.forced_returns
-let restarts t = t.restarts
 let dead_servers t = t.dead_servers
 
 let pstate_opt t proc = Hashtbl.find_opt t.pstates proc.Proc.pid
@@ -208,7 +206,6 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       fallback_eps = Hashtbl.create 8;
       degraded_calls = 0;
       forced_returns = 0;
-      restarts = 0;
       trampoline_frame;
       trampoline_bytes;
       binding_hooks = [];
@@ -724,7 +721,6 @@ let mark_server_dead t ~core ~server_id =
 let restart_server t ~server_id =
   if server_dead t server_id then begin
     t.dead_servers <- List.filter (fun s -> s <> server_id) t.dead_servers;
-    t.restarts <- t.restarts + 1;
     let mine, rest = List.partition (fun (_, sid) -> sid = server_id) t.orphans in
     t.orphans <- rest;
     List.iter
@@ -891,13 +887,11 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
          histogram; inner spans (vmfunc, copies, key check) refine the
          per-category attribution. *)
       let span_name =
-        "skybridge."
-        ^ (match t.kernel.Kernel.config.Config.variant with
-          | Config.Sel4 -> "sel4"
-          | Config.Fiasco -> "fiasco"
-          | Config.Zircon -> "zircon"
-          | Config.Linux -> "linux")
-        ^ ".call"
+        match t.kernel.Kernel.config.Config.variant with
+        | Config.Sel4 -> "skybridge.sel4.call"
+        | Config.Fiasco -> "skybridge.fiasco.call"
+        | Config.Zircon -> "skybridge.zircon.call"
+        | Config.Linux -> "skybridge.linux.call"
       in
       Sky_trace.Trace.span ~core ~cat:"ipc" span_name @@ fun () ->
       let conn = core mod srv.connection_count in

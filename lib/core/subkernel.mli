@@ -163,7 +163,6 @@ val server_dep_closure : t -> server_id:int -> int list
 val dead_servers : t -> int list
 val degraded_calls : t -> int
 val forced_returns : t -> int
-val restarts : t -> int
 
 val thread_regs : t -> Sky_ukernel.Proc.t -> int64 array
 (** The process's modelled register file (16 GPRs, indexed by

@@ -1,16 +1,151 @@
-(** Reference interpreter for the instruction subset.
+(** The instruction semantics, and the reference interpreter built on it.
 
-    Exists to *verify the rewriter*: the qcheck equivalence property runs
-    an original instruction stream and its VMFUNC-free rewrite on the same
+    [step] is the one definition of what an instruction of the subset
+    does to registers, flags and memory. It runs over any {!memory}:
+    [run] below instantiates it with a flat sparse byte memory to
+    {e verify the rewriter} (the qcheck equivalence property runs an
+    original instruction stream and its VMFUNC-free rewrite on the same
     initial state and demands identical final registers, memory and
-    event history. The machine model is flat: 16 64-bit registers and a
-    sparse byte-addressable memory. *)
+    event history); [Sky_core.Exec] instantiates it with memory
+    translated and charged through the simulated MMU to run the
+    trampoline. Privileged instructions are not executed by [step]: they
+    come back to the caller as an {!outcome}. *)
 
 type event = Ev_vmfunc | Ev_syscall | Ev_cpuid | Ev_wrpkru of int64
 
 (* Condition flags, reduced to the predicates the supported Jcc
    conditions need: zero, signed-less, unsigned-less. *)
 type flags = { mutable zf : bool; mutable slt : bool; mutable ult : bool }
+
+let fresh_flags () = { zf = false; slt = false; ult = false }
+
+(* What [step] needs of memory: 64-bit little-endian loads and stores at
+   an effective address. *)
+type memory = { read64 : int -> int64; write64 : int -> int64 -> unit }
+
+type outcome =
+  | Next  (** fall through to the next instruction *)
+  | Jump of int  (** control transfer to this address *)
+  | Syscall
+  | Vmfunc
+  | Wrpkru of int64  (** RAX: the value to write to PKRU *)
+  | Cpuid  (** the deterministic leaf values are already in RAX..RDX *)
+
+let get regs r = regs.(Reg.encoding r)
+let set regs r v = regs.(Reg.encoding r) <- v
+
+let ea regs (m : Insn.mem) =
+  let base = Option.fold ~none:0L ~some:(get regs) m.Insn.base in
+  let index =
+    Option.fold ~none:0L
+      ~some:(fun (r, s) -> Int64.mul (get regs r) (Int64.of_int s))
+      m.Insn.index
+  in
+  Int64.to_int (Int64.add (Int64.add base index) (Int64.of_int m.Insn.disp))
+
+(* Flags from a result compared against zero (after ALU ops). *)
+let set_flags_result flags v =
+  flags.zf <- Int64.equal v 0L;
+  flags.slt <- Int64.compare v 0L < 0;
+  flags.ult <- false
+
+(* Flags from a subtraction a - b (CMP semantics). *)
+let set_flags_cmp flags a b =
+  flags.zf <- Int64.equal a b;
+  flags.slt <- Int64.compare a b < 0;
+  flags.ult <- Int64.unsigned_compare a b < 0
+
+let cond_holds flags = function
+  | Insn.E -> flags.zf
+  | Insn.Ne -> not flags.zf
+  | Insn.L -> flags.slt
+  | Insn.Ge -> not flags.slt
+  | Insn.Le -> flags.slt || flags.zf
+  | Insn.G -> not (flags.slt || flags.zf)
+  | Insn.B -> flags.ult
+  | Insn.Ae -> not flags.ult
+
+(* Executes one instruction whose successor starts at [next_ip]. *)
+let step mem regs flags insn ~next_ip =
+  let get = get regs and set = set regs in
+  let ea = ea regs in
+  let push v =
+    let rsp = Int64.sub (get Reg.Rsp) 8L in
+    set Reg.Rsp rsp;
+    mem.write64 (Int64.to_int rsp) v
+  in
+  let pop () =
+    let rsp = get Reg.Rsp in
+    let v = mem.read64 (Int64.to_int rsp) in
+    set Reg.Rsp (Int64.add rsp 8L);
+    v
+  in
+  let rm_value = function Insn.R r -> get r | Insn.M m -> mem.read64 (ea m) in
+  let mov r v =
+    set r v;
+    Next
+  in
+  let alu r v =
+    set r v;
+    set_flags_result flags v;
+    Next
+  in
+  match insn with
+  | Insn.Nop -> Next
+  | Insn.Push r ->
+    push (get r);
+    Next
+  | Insn.Pop r -> mov r (pop ())
+  | Insn.Mov_rr (d, s) -> mov d (get s)
+  | Insn.Mov_ri (d, i) -> mov d i
+  | Insn.Mov_load (d, m) -> mov d (mem.read64 (ea m))
+  | Insn.Mov_store (m, s) ->
+    mem.write64 (ea m) (get s);
+    Next
+  | Insn.Add_rr (d, s) -> mov d (Int64.add (get d) (get s))
+  | Insn.Add_ri (d, i) -> mov d (Int64.add (get d) (Int64.of_int i))
+  | Insn.Add_rm (d, m) -> mov d (Int64.add (get d) (mem.read64 (ea m)))
+  | Insn.Sub_ri (d, i) -> mov d (Int64.sub (get d) (Int64.of_int i))
+  | Insn.Imul_rri (d, src, i) -> mov d (Int64.mul (rm_value src) (Int64.of_int i))
+  | Insn.Imul_rm (d, src) -> mov d (Int64.mul (get d) (rm_value src))
+  | Insn.Lea (d, m) -> mov d (Int64.of_int (ea m))
+  | Insn.Xor_rr (d, s) -> alu d (Int64.logxor (get d) (get s))
+  | Insn.And_rr (d, s) -> alu d (Int64.logand (get d) (get s))
+  | Insn.And_ri (d, i) -> alu d (Int64.logand (get d) (Int64.of_int i))
+  | Insn.Or_rr (d, s) -> alu d (Int64.logor (get d) (get s))
+  | Insn.Or_ri (d, i) -> alu d (Int64.logor (get d) (Int64.of_int i))
+  | Insn.Cmp_rr (a, b) ->
+    set_flags_cmp flags (get a) (get b);
+    Next
+  | Insn.Cmp_ri (a, i) ->
+    set_flags_cmp flags (get a) (Int64.of_int i);
+    Next
+  | Insn.Test_rr (a, b) ->
+    set_flags_result flags (Int64.logand (get a) (get b));
+    Next
+  | Insn.Shl_ri (d, i) -> alu d (Int64.shift_left (get d) (i land 0x3f))
+  | Insn.Shr_ri (d, i) -> alu d (Int64.shift_right_logical (get d) (i land 0x3f))
+  | Insn.Inc d -> alu d (Int64.add (get d) 1L)
+  | Insn.Dec d -> alu d (Int64.sub (get d) 1L)
+  | Insn.Neg d -> alu d (Int64.neg (get d))
+  | Insn.Jcc (c, rel) -> if cond_holds flags c then Jump (next_ip + rel) else Next
+  | Insn.Jmp_rel rel -> Jump (next_ip + rel)
+  | Insn.Call_rel rel ->
+    push (Int64.of_int next_ip);
+    Jump (next_ip + rel)
+  | Insn.Ret -> Jump (Int64.to_int (pop ()))
+  | Insn.Syscall -> Syscall
+  | Insn.Vmfunc -> Vmfunc
+  | Insn.Wrpkru -> Wrpkru (get Reg.Rax)
+  | Insn.Cpuid ->
+    (* Deterministic leaf values. *)
+    set Reg.Rax 0x16L;
+    set Reg.Rbx 0x756e_6547L;
+    set Reg.Rcx 0x6c65_746eL;
+    set Reg.Rdx 0x4965_6e69L;
+    Cpuid
+
+(* ---- the flat instance ---- *)
 
 type state = {
   regs : int64 array;  (** indexed by {!Reg.encoding} *)
@@ -25,18 +160,11 @@ exception Stuck of string
 
 let create ?(rsp = 0x7000_0000) () =
   let regs = Array.make 16 0L in
-  regs.(Reg.encoding Reg.Rsp) <- Int64.of_int rsp;
-  {
-    regs;
-    mem = Hashtbl.create 64;
-    ip = 0;
-    events = [];
-    steps = 0;
-    flags = { zf = false; slt = false; ult = false };
-  }
+  set regs Reg.Rsp (Int64.of_int rsp);
+  { regs; mem = Hashtbl.create 64; ip = 0; events = []; steps = 0; flags = fresh_flags () }
 
-let get t r = t.regs.(Reg.encoding r)
-let set t r v = t.regs.(Reg.encoding r) <- v
+let get t r = get t.regs r
+let set t r v = set t.regs r v
 let read_byte t a = Option.value ~default:0 (Hashtbl.find_opt t.mem (a land 0x7fff_ffff_ffff_ffff))
 let write_byte t a v = Hashtbl.replace t.mem (a land 0x7fff_ffff_ffff_ffff) (v land 0xff)
 
@@ -52,156 +180,15 @@ let write64 t a v =
     write_byte t (a + k) (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
   done
 
-let ea t (m : Insn.mem) =
-  let base = Option.fold ~none:0L ~some:(get t) m.Insn.base in
-  let index =
-    Option.fold ~none:0L
-      ~some:(fun (r, s) -> Int64.mul (get t r) (Int64.of_int s))
-      m.Insn.index
-  in
-  Int64.to_int (Int64.add (Int64.add base index) (Int64.of_int m.Insn.disp))
-
-let push t v =
-  let rsp = Int64.sub (get t Reg.Rsp) 8L in
-  set t Reg.Rsp rsp;
-  write64 t (Int64.to_int rsp) v
-
-let pop t =
-  let rsp = get t Reg.Rsp in
-  let v = read64 t (Int64.to_int rsp) in
-  set t Reg.Rsp (Int64.add rsp 8L);
-  v
-
-(* Flags from a result compared against zero (after ALU ops). *)
-let set_flags_result t v =
-  t.flags.zf <- Int64.equal v 0L;
-  t.flags.slt <- Int64.compare v 0L < 0;
-  t.flags.ult <- false
-
-(* Flags from a subtraction a - b (CMP semantics). *)
-let set_flags_cmp t a b =
-  t.flags.zf <- Int64.equal a b;
-  t.flags.slt <- Int64.compare a b < 0;
-  t.flags.ult <- Int64.unsigned_compare a b < 0
-
-let cond_holds t = function
-  | Insn.E -> t.flags.zf
-  | Insn.Ne -> not t.flags.zf
-  | Insn.L -> t.flags.slt
-  | Insn.Ge -> not t.flags.slt
-  | Insn.Le -> t.flags.slt || t.flags.zf
-  | Insn.G -> not (t.flags.slt || t.flags.zf)
-  | Insn.B -> t.flags.ult
-  | Insn.Ae -> not t.flags.ult
-
-(* Executes the instruction; returns [None] for fallthrough or [Some ip]
-   for a control transfer (absolute byte offset). *)
-let exec_insn t insn ~next_ip =
-  let alu r v =
-    set t r v;
-    set_flags_result t v;
-    None
-  in
-  match insn with
-  | Insn.Nop -> None
-  | Insn.Push r ->
-    push t (get t r);
-    None
-  | Insn.Pop r ->
-    set t r (pop t);
-    None
-  | Insn.Mov_rr (d, s) ->
-    set t d (get t s);
-    None
-  | Insn.Mov_ri (d, i) ->
-    set t d i;
-    None
-  | Insn.Mov_load (d, m) ->
-    set t d (read64 t (ea t m));
-    None
-  | Insn.Mov_store (m, s) ->
-    write64 t (ea t m) (get t s);
-    None
-  | Insn.Add_rr (d, s) ->
-    set t d (Int64.add (get t d) (get t s));
-    None
-  | Insn.Add_ri (d, i) ->
-    set t d (Int64.add (get t d) (Int64.of_int i));
-    None
-  | Insn.Add_rm (d, m) ->
-    set t d (Int64.add (get t d) (read64 t (ea t m)));
-    None
-  | Insn.Sub_ri (d, i) ->
-    set t d (Int64.sub (get t d) (Int64.of_int i));
-    None
-  | Insn.Xor_rr (d, s) ->
-    set t d (Int64.logxor (get t d) (get t s));
-    None
-  | Insn.Imul_rri (d, Insn.R s, i) ->
-    set t d (Int64.mul (get t s) (Int64.of_int i));
-    None
-  | Insn.Imul_rri (d, Insn.M m, i) ->
-    set t d (Int64.mul (read64 t (ea t m)) (Int64.of_int i));
-    None
-  | Insn.Imul_rm (d, Insn.R s) ->
-    set t d (Int64.mul (get t d) (get t s));
-    None
-  | Insn.Imul_rm (d, Insn.M m) ->
-    set t d (Int64.mul (get t d) (read64 t (ea t m)));
-    None
-  | Insn.Lea (d, m) ->
-    set t d (Int64.of_int (ea t m));
-    None
-  | Insn.And_rr (d, sr) -> alu d (Int64.logand (get t d) (get t sr))
-  | Insn.And_ri (d, i) -> alu d (Int64.logand (get t d) (Int64.of_int i))
-  | Insn.Or_rr (d, sr) -> alu d (Int64.logor (get t d) (get t sr))
-  | Insn.Or_ri (d, i) -> alu d (Int64.logor (get t d) (Int64.of_int i))
-  | Insn.Cmp_rr (a, b) ->
-    set_flags_cmp t (get t a) (get t b);
-    None
-  | Insn.Cmp_ri (a, i) ->
-    set_flags_cmp t (get t a) (Int64.of_int i);
-    None
-  | Insn.Test_rr (a, b) ->
-    set_flags_result t (Int64.logand (get t a) (get t b));
-    None
-  | Insn.Shl_ri (d, i) -> alu d (Int64.shift_left (get t d) (i land 0x3f))
-  | Insn.Shr_ri (d, i) -> alu d (Int64.shift_right_logical (get t d) (i land 0x3f))
-  | Insn.Inc d -> alu d (Int64.add (get t d) 1L)
-  | Insn.Dec d -> alu d (Int64.sub (get t d) 1L)
-  | Insn.Neg d -> alu d (Int64.neg (get t d))
-  | Insn.Jcc (c, rel) -> if cond_holds t c then Some (next_ip + rel) else None
-  | Insn.Jmp_rel rel -> Some (next_ip + rel)
-  | Insn.Call_rel rel ->
-    push t (Int64.of_int next_ip);
-    Some (next_ip + rel)
-  | Insn.Ret -> Some (Int64.to_int (pop t))
-  | Insn.Syscall ->
-    t.events <- Ev_syscall :: t.events;
-    None
-  | Insn.Vmfunc ->
-    t.events <- Ev_vmfunc :: t.events;
-    None
-  | Insn.Wrpkru ->
-    (* The PKRU write is an event (the value written matters for
-       equivalence); the architectural requirement ECX = EDX = 0 is
-       checked by the trampoline auditor, not here. *)
-    t.events <- Ev_wrpkru (get t Reg.Rax) :: t.events;
-    None
-  | Insn.Cpuid ->
-    (* Deterministic leaf values. *)
-    set t Reg.Rax 0x16L;
-    set t Reg.Rbx 0x756e_6547L;
-    set t Reg.Rcx 0x6c65_746eL;
-    set t Reg.Rdx 0x4965_6e69L;
-    t.events <- Ev_cpuid :: t.events;
-    None
-
 (* Run until the instruction pointer leaves [code] (falling exactly onto
    [length code] is a normal exit; anywhere else raises), or [max_steps]
-   is exceeded. *)
+   is exceeded. Privileged instructions are recorded as events (the
+   value a WRPKRU writes matters for equivalence; the architectural
+   requirement ECX = EDX = 0 is checked by the trampoline auditor, not
+   here). *)
 let run ?(max_steps = 10_000) t code =
   let len = Bytes.length code in
+  let mem = { read64 = read64 t; write64 = write64 t } in
   let rec go () =
     if t.ip = len then ()
     else if t.ip < 0 || t.ip > len then
@@ -219,9 +206,17 @@ let run ?(max_steps = 10_000) t code =
                 t.ip))
       | Some insn ->
         let next_ip = t.ip + d.Decode.len in
-        (match exec_insn t insn ~next_ip with
-        | None -> t.ip <- next_ip
-        | Some target -> t.ip <- target);
+        let event e =
+          t.events <- e :: t.events;
+          t.ip <- next_ip
+        in
+        (match step mem t.regs t.flags insn ~next_ip with
+        | Next -> t.ip <- next_ip
+        | Jump target -> t.ip <- target
+        | Syscall -> event Ev_syscall
+        | Vmfunc -> event Ev_vmfunc
+        | Wrpkru rax -> event (Ev_wrpkru rax)
+        | Cpuid -> event Ev_cpuid);
         go ()
     end
   in

@@ -39,7 +39,6 @@ let create ?(enforce_caps = false) ?(long_ipc = Shared_copy) kernel =
     long_ipc;
   }
 
-let kernel t = t.kernel
 let caps t = t.cap_registry
 
 let register t server ?(cores = []) handler =

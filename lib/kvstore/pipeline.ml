@@ -52,7 +52,6 @@ let enc_handler rc4 kernel : Sky_kernels.Ipc.handler =
 type t = {
   kernel : Kernel.t;
   config : config;
-  client : Proc.t;
   call_enc : core:int -> bytes -> bytes;
   call_kv : core:int -> bytes -> bytes;
   buf_va : int;  (** client-side scratch where requests are composed *)
@@ -95,7 +94,6 @@ let create ?sb ?ipc ?mesh ?(resilient = false) kernel config =
     {
       kernel;
       config;
-      client;
       call_enc;
       call_kv;
       buf_va;

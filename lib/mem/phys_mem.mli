@@ -11,9 +11,6 @@ type t
 val frame_size : int
 (** 4096. *)
 
-val frame_shift : int
-(** 12. *)
-
 val create : frames:int -> t
 (** [create ~frames] makes a physical memory of [frames] zeroed 4 KiB
     frames. Frames are allocated lazily, so large memories are cheap until

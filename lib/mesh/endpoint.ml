@@ -15,7 +15,6 @@ type 'a t = {
   mutable pushed : int;
   mutable popped : int;
   mutable steals : int;
-  mutable rejected : int;  (** {!try_push} refusals against [capacity] *)
 }
 
 let create ?capacity kernel ~name ~receivers =
@@ -32,18 +31,13 @@ let create ?capacity kernel ~name ~receivers =
     pushed = 0;
     popped = 0;
     steals = 0;
-    rejected = 0;
   }
 
-let receivers t = Array.length t.queues
 let note t = t.note
-let queue_level t ~recv = Queue.length t.queues.(recv)
 let pending t = Array.fold_left (fun a q -> a + Queue.length q) 0 t.queues
 let pushed t = t.pushed
 let popped t = t.popped
 let steals t = t.steals
-let rejected t = t.rejected
-let capacity t = t.capacity
 
 let pick_receiver t receiver =
   match receiver with
@@ -70,7 +64,6 @@ let try_push t ~core ?receiver item =
   in
   match t.capacity with
   | Some cap when Queue.length t.queues.(target) >= cap ->
-    t.rejected <- t.rejected + 1;
     Cpu.charge (Kernel.cpu t.kernel ~core) push_cycles;
     false
   | _ ->

@@ -65,7 +65,6 @@ type t = {
   mutable resolves : int;  (** wire round trips to the name service *)
   mutable cache_hits : int;
   mutable denials : int;
-  mutable registrations : int;
 }
 
 (* ---- name-service wire protocol ---- *)
@@ -113,7 +112,6 @@ let ns_handler t : Sky_kernels.Ipc.handler =
     let sid = Int32.to_int (Bytes.get_int32_le msg 1) in
     let scheme = Bytes.sub_string msg 5 (Bytes.length msg - 5) in
     Hashtbl.replace t.table scheme sid;
-    t.registrations <- t.registrations + 1;
     invalidate t;
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.register";
     ok_reply ()
@@ -205,7 +203,6 @@ let create ?(seed = 0) ?retry_budget sb =
       resolves = 0;
       cache_hits = 0;
       denials = 0;
-      registrations = 0;
     }
   in
   t.ns_sid <-
@@ -278,10 +275,7 @@ let grant t ~core ?(rights = Capability.send_only) ~client uri =
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.grant";
     g
 
-let grant_uri g = g.g_uri
-let grant_pid g = g.g_client.Proc.pid
 let grant_live g = g.g_live
-let grants t = List.rev t.grants
 
 let revoke_grant t ~core g =
   if g.g_live then begin
@@ -417,7 +411,4 @@ let epoch t = t.epoch
 let resolves t = t.resolves
 let cache_hits t = t.cache_hits
 let denials t = t.denials
-let registrations t = t.registrations
 let retry_stats t = t.rstats
-let registry t = t.caps
-let name_server_id t = t.ns_sid

@@ -62,9 +62,6 @@ val resolve : t -> core:int -> client:Sky_ukernel.Proc.t -> string -> int option
     {!Sky_core.Retry.call} — a crashed name service restarts and the
     resolve retries). [client] must be {!connect}ed. *)
 
-val server_of_uri : t -> string -> int option
-(** Authoritative table lookup, no wire call — supervisor-side only. *)
-
 type grant
 
 val grant :
@@ -79,10 +76,7 @@ val grant :
     (deps get send-only), then establishes the Subkernel binding.
     @raise Unknown_service when the URI does not resolve. *)
 
-val grant_uri : grant -> string
-val grant_pid : grant -> int
 val grant_live : grant -> bool
-val grants : t -> grant list
 
 val revoke_grant : t -> core:int -> grant -> unit
 (** Delete the grant's capabilities, then tear down every binding of
@@ -155,11 +149,4 @@ val resolves : t -> int
 
 val cache_hits : t -> int
 val denials : t -> int
-val registrations : t -> int
 val retry_stats : t -> Sky_core.Retry.stats
-val registry : t -> Sky_ukernel.Capability.registry
-val name_server_id : t -> int
-
-val cache_hit_cycles : int
-val cap_check_cycles : int
-val ns_lookup_cycles : int

@@ -20,5 +20,3 @@ let parse s =
   { scheme; path = String.sub s (i + 3) (n - i - 3) }
 
 let service s = (parse s).scheme
-let to_string t = t.scheme ^ "://" ^ t.path
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -10,12 +10,5 @@ type t = {
 
 exception Bad_uri of string
 
-val parse : string -> t
-(** @raise Bad_uri when the ["://"] separator is missing or the scheme
-    is empty / contains anything outside [a-z0-9+.-]. *)
-
 val service : string -> string
 (** [service uri] is [(parse uri).scheme] — the name-service key. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

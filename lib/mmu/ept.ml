@@ -149,7 +149,7 @@ let clone_deep t ~mem ~alloc =
   let root = copy t.root 3 in
   { root; owned }
 
-type walk_result = { hpa : int; entries_read : int list }
+type walk_result = { hpa : int; flags : Pte.flags; entries_read : int list }
 
 let walk ~mem ~root_pa ~gpa =
   let rec go table level acc =
@@ -159,11 +159,10 @@ let walk ~mem ~root_pa ~gpa =
     if not (Pte.is_present e) then Error (Ept_not_present gpa)
     else
       let pa, flags = Pte.decode e in
-      if level = 0 then
-        Ok { hpa = pa lor (gpa land 0xfff); entries_read = List.rev acc }
-      else if flags.Pte.huge then begin
+      if level = 0 || flags.Pte.huge then begin
         let mask = (1 lsl entry_shift level) - 1 in
-        Ok { hpa = (pa land lnot mask) lor (gpa land mask); entries_read = List.rev acc }
+        let hpa = (pa land lnot mask) lor (gpa land mask) in
+        Ok { hpa; flags; entries_read = List.rev acc }
       end
       else go pa (level - 1) acc
   in
@@ -198,18 +197,6 @@ let rec translate_from cpu mem gpa table level r3 r2 r1 =
 
 let translate ~cpu ~mem ~root_pa ~gpa =
   translate_from cpu mem gpa root_pa 3 (-1) (-1) (-1)
-
-let walk_flags ~mem ~root_pa ~gpa =
-  let rec go table level =
-    let epa = entry_pa table (idx ~level gpa) in
-    let e = Sky_mem.Phys_mem.read_u64 mem epa in
-    if not (Pte.is_present e) then Error (Ept_not_present gpa)
-    else
-      let pa, flags = Pte.decode e in
-      if level = 0 || flags.Pte.huge then Ok (pa, flags)
-      else go pa (level - 1)
-  in
-  go root_pa 3
 
 let iter_leaves ~mem ~root_pa f =
   let rec go table level gpa_base =

@@ -87,6 +87,7 @@ val remap_gpa :
 
 type walk_result = {
   hpa : int;
+  flags : Pte.flags;  (** the leaf entry's permissions (EPT reading) *)
   entries_read : int list;  (** PAs of EPT entries touched, root first *)
 }
 
@@ -102,14 +103,6 @@ val translate :
     [entries_read], in that order. Raises {!Ept_violation} on a
     not-present entry, having charged nothing — the reads are charged
     only once the walk succeeds. Allocates nothing on success. *)
-
-val walk_flags :
-  mem:Sky_mem.Phys_mem.t ->
-  root_pa:int ->
-  gpa:int ->
-  (int * Pte.flags, fault) result
-(** Like {!walk} but returns the leaf entry's frame PA and flags — what
-    the invariant checker needs to judge permissions. *)
 
 val iter_leaves :
   mem:Sky_mem.Phys_mem.t ->

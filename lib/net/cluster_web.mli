@@ -45,9 +45,5 @@ val quanta : t -> int
 val served : t -> int
 val errors : t -> int
 
-val max_cycles : t -> int
-(** Furthest-ahead core clock across all shards — the cluster's virtual
-    elapsed time. *)
-
 val shard_scope : t -> int -> Sky_sim.Scopes.t
 val shard_web : t -> int -> Web.t

@@ -38,7 +38,7 @@
     Fault site ["server.httpd"]: a [Crash] kills the worker mid-request
     (the §7 story applied to the application tier). The in-flight
     requests are parked, the worker's server bindings are revoked, and
-    the supervisor restarts it after {!restart_cycles}, re-binding
+    the supervisor restarts it after [restart_cycles], re-binding
     (PR 3 machinery) and replaying the parked requests — no request is
     ever lost. [Hang] burns cycles past the watchdog budget, surfacing
     as a tail-latency spike.
@@ -131,11 +131,9 @@ type worker = {
       (** requests being served when the worker crashed — replayed *)
   mutable w_served : int;
   mutable w_restarts : int;
-  mutable w_hangs : int;
   mutable w_denied : int;  (** requests bounced to a peer on Denied *)
   mutable w_backoff : int;
       (** no endpoint pops before this cycle (set on a denial) *)
-  mutable w_fs_cold : int;  (** cache misses served through the FS *)
 }
 
 type t = {
@@ -155,7 +153,6 @@ type t = {
           generator's next arrival) — lets idle workers sleep to it *)
   queue_done : queue:int -> bool;
   mutable served : int;
-  mutable bad_requests : int;
   mutable shed_queue : int;
   mutable shed_expired : int;
   mutable unservable : int;
@@ -208,10 +205,8 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
           w_inflight = [];
           w_served = 0;
           w_restarts = 0;
-          w_hangs = 0;
           w_denied = 0;
           w_backoff = 0;
-          w_fs_cold = 0;
         })
   in
   let t =
@@ -227,7 +222,6 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
       wire_hint;
       queue_done;
       served = 0;
-      bad_requests = 0;
       shed_queue = 0;
       shed_expired = 0;
       unservable = 0;
@@ -248,9 +242,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
         List.iter
           (fun name ->
             match w.w_binding.fs_read ~core:w.w_core ~name with
-            | Some data ->
-              w.w_fs_cold <- w.w_fs_cold + 1;
-              Hashtbl.replace w.w_cache name data
+            | Some data -> Hashtbl.replace w.w_cache name data
             | None -> ())
           preload;
       Scheduler.block w.w_sched cpu w.w_thread;
@@ -265,14 +257,10 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
   t
 
 let served t = t.served
-let bad_requests t = t.bad_requests
 let restarts t = Array.fold_left (fun a w -> a + w.w_restarts) 0 t.workers
-let hangs t = Array.fold_left (fun a w -> a + w.w_hangs) 0 t.workers
 let denials t = Array.fold_left (fun a w -> a + w.w_denied) 0 t.workers
-let fs_cold t = Array.fold_left (fun a w -> a + w.w_fs_cold) 0 t.workers
 let worker_served t i = t.workers.(i).w_served
 let steals t = Endpoint.steals t.ep
-let endpoint t = t.ep
 let shed_queue t = t.shed_queue
 let shed_expired t = t.shed_expired
 let shed t = t.shed_queue + t.shed_expired
@@ -287,7 +275,6 @@ let check_fault t w =
   match Fault.check ~core:w.w_core fault_site with
   | Some Fault.Crash -> raise Worker_crashed
   | Some Fault.Hang ->
-    w.w_hangs <- w.w_hangs + 1;
     Kernel.user_compute t.kernel ~core:w.w_core ~cycles:hang_cycles
   | Some (Fault.Drop | Fault.Revoke | Fault.Ept_fault) | None -> ()
 
@@ -360,7 +347,6 @@ let dispatch t w kv_replies pr =
     | None -> (
       match w.w_binding.fs_read ~core ~name with
       | Some data ->
-        w.w_fs_cold <- w.w_fs_cold + 1;
         if t.file_cache then Hashtbl.replace w.w_cache name data;
         Http.ok data
       | None -> Http.not_found))
@@ -382,9 +368,7 @@ let handle_batch t w reqs =
             Cpu.charge cpu (parse_base + (parse_per_byte * Bytes.length r.rq_payload));
             match Http.parse_request r.rq_payload with
             | pr -> (r, Some pr)
-            | exception Http.Bad_request _ ->
-              t.bad_requests <- t.bad_requests + 1;
-              (r, None))
+            | exception Http.Bad_request _ -> (r, None))
           reqs
       in
       (* Batched worker→backend hop: every KV operation of the batch in
@@ -665,9 +649,3 @@ let advance t s ~until =
   Machine.run_until t.kernel.Kernel.machine s
     ~step:(fun ~core -> step t ~core)
     ~until
-
-let run t =
-  let s = start t in
-  match advance t s ~until:max_int with
-  | `Done -> ()
-  | `Paused -> assert false (* no core's clock can reach max_int *)

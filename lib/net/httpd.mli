@@ -77,8 +77,6 @@ exception Expired
 (** Raised by a deadline-aware binding when the request's remaining
     budget is gone: the request is shed with a 503 ({!shed_expired}). *)
 
-val restart_cycles : int
-
 val create :
   ?preload:string list ->
   ?file_cache:bool ->
@@ -110,10 +108,6 @@ val step : t -> core:int -> Sky_sim.Machine.step
 (** One event-loop quantum of [core]'s worker, for
     {!Sky_sim.Machine.interleave}. *)
 
-val run : t -> unit
-(** Interleave all workers by virtual time until every queue is done and
-    the endpoint is drained. *)
-
 type session
 (** Persistent run-loop state for driving the server a bounded slice of
     virtual time at a time (the quantum scheduler's lane hook). *)
@@ -127,9 +121,7 @@ val advance : t -> session -> until:int -> [ `Paused | `Done ]
     {!Sky_sim.Machine.run_until}. *)
 
 val served : t -> int
-val bad_requests : t -> int
 val restarts : t -> int
-val hangs : t -> int
 
 val denials : t -> int
 (** Requests bounced to a peer because a binding raised {!Denied}. *)
@@ -162,12 +154,5 @@ val current_deadline : t -> core:int -> int option
 
 val steals : t -> int
 (** Endpoint pops satisfied from a peer's receive queue. *)
-
-val endpoint : t -> req Sky_mesh.Endpoint.t
-
-val fs_cold : t -> int
-(** Static-file cache misses served through the (big-locked) xv6fs
-    backend. Each worker pays one per file per lifetime — a crash wipes
-    its cache, so restarts re-read through the FS. *)
 
 val worker_served : t -> int -> int

@@ -158,9 +158,7 @@ let start t ~at =
   Array.iteri (fun i f -> inject t f ~at:(at + (i * 57))) t.flows
 
 let queue_done t ~queue = t.remaining.(queue) = 0
-let finished t = Array.for_all (fun r -> r = 0) t.remaining
 let responses t = t.responses
 let errors t = t.errors
 let expected t = Array.fold_left (fun a f -> a + f.f_total) 0 t.flows
 let latencies t = t.hist
-let conns t = Array.length t.flows

@@ -34,7 +34,6 @@ val start : t -> at:int -> unit
 val queue_done : t -> queue:int -> bool
 (** No responses owed by [queue] — the serving worker may exit. *)
 
-val finished : t -> bool
 val responses : t -> int
 val expected : t -> int
 (** Total requests the run will issue ([conns * requests_per_conn]). *)
@@ -47,5 +46,3 @@ val errors : t -> int
 val latencies : t -> Sky_trace.Histogram.t
 (** Wire-to-wire per-request latency (arrival at NIC to response TX),
     including queueing delay behind a busy worker. *)
-
-val conns : t -> int

@@ -36,8 +36,6 @@ type queue = {
   tx : ring;
   irq : Sky_kernels.Notification.t;
   mutable pinned_core : int;
-  mutable rx_pkts : int;
-  mutable tx_pkts : int;
   mutable irqs_raised : int;
 }
 
@@ -75,8 +73,6 @@ let create kernel ~queues:nq =
             Sky_kernels.Notification.create kernel
               ~name:(Printf.sprintf "nic-rxq%d" id);
           pinned_core = id;
-          rx_pkts = 0;
-          tx_pkts = 0;
           irqs_raised = 0;
         })
   in
@@ -148,7 +144,6 @@ let deliver t ~flow ~seq ~payload ~at =
     r.deliver_at.(slot) <- at;
     let was_empty = ring_level r = 0 in
     r.tail <- r.tail + 1;
-    q.rx_pkts <- q.rx_pkts + 1;
     (* Interrupt coalescing: only the empty->non-empty edge raises the
        MSI-X vector; packets landing on a backlogged ring are picked up
        by the same service pass. *)
@@ -200,7 +195,6 @@ let tx t ~queue ~core ~flow ~seq payload =
   write_desc mem r slot ~flow ~seq ~len:(Bytes.length payload);
   Sky_mem.Phys_mem.write_bytes mem (r.buf_pa + (slot * buf_slot)) payload;
   r.tail <- r.tail + 1;
-  q.tx_pkts <- q.tx_pkts + 1;
   (* Doorbell: an uncached MMIO store. *)
   Memsys.access_uncached cpu;
   (* The simulated wire completes TX immediately: hand the packet to the
@@ -209,6 +203,4 @@ let tx t ~queue ~core ~flow ~seq payload =
   r.head <- r.head + 1;
   t.on_tx pkt
 
-let rx_pkts t ~queue = t.queues.(queue).rx_pkts
-let tx_pkts t ~queue = t.queues.(queue).tx_pkts
 let irqs_raised t ~queue = t.queues.(queue).irqs_raised

@@ -73,7 +73,6 @@ type t = {
   mutable shed_wire : int;  (** RX-ring-full drops at injection *)
   mutable unservable : int;  (** terminal 403s *)
   mutable corrupt : int;
-  mutable responses : int;
   mutable churns : int;
 }
 
@@ -134,7 +133,6 @@ let create nic ~seed ~mix ~tenants:ntenants ~requests_per_conn ~mean_gap
     shed_wire = 0;
     unservable = 0;
     corrupt = 0;
-    responses = 0;
     churns = 0;
   }
 
@@ -218,7 +216,6 @@ let on_response t (pkt : Nic.pkt) =
     | None -> t.corrupt <- t.corrupt + 1
     | Some (expect, arrival) ->
       tn.tn_outstanding <- None;
-      t.responses <- t.responses + 1;
       t.remaining.(tn.tn_queue) <- t.remaining.(tn.tn_queue) - 1;
       (match Http.parse_response pkt.Nic.payload with
       | resp -> (
@@ -268,7 +265,6 @@ let finished t =
   t.offered >= t.total && Array.for_all (fun r -> r = 0) t.remaining
 
 let offered t = t.offered
-let responses t = t.responses
 let ok t = t.ok
 let shed t = t.shed
 let shed_wire t = t.shed_wire
@@ -277,4 +273,3 @@ let corrupt t = t.corrupt
 let errors t = t.unservable + t.corrupt
 let churns t = t.churns
 let latencies t = t.hist
-let tenants t = Array.length t.tenants

@@ -50,7 +50,6 @@ val queue_done : t -> queue:int -> bool
 val finished : t -> bool
 
 val offered : t -> int
-val responses : t -> int
 
 val ok : t -> int
 (** Admitted requests answered with the expected body — the goodput. *)
@@ -77,5 +76,3 @@ val churns : t -> int
 val latencies : t -> Sky_trace.Histogram.t
 (** Arrival→response latency of {e goodput} responses only (client-side
     queueing included — no coordinated omission). *)
-
-val tenants : t -> int

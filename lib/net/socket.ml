@@ -27,7 +27,6 @@ type t = {
   conns : (int, conn) Hashtbl.t;  (** flow id -> connection *)
   staged : (int, conn * bytes) Hashtbl.t;
       (** per-queue request embedded in a just-accepted SYN *)
-  mutable accepts : int;
 }
 
 type event =
@@ -37,10 +36,7 @@ type event =
 exception Out_of_order of { flow : int; got : int; expected : int }
 
 let create kernel nic =
-  { kernel; nic; conns = Hashtbl.create 64; staged = Hashtbl.create 8; accepts = 0 }
-
-let conn_count t = Hashtbl.length t.conns
-let accepts t = t.accepts
+  { kernel; nic; conns = Hashtbl.create 64; staged = Hashtbl.create 8 }
 
 (* Pop the next RX packet of [queue] and demultiplex it. The [Accepted]
    event precedes the embedded first request: callers get two events for
@@ -61,7 +57,6 @@ let service t ~queue ~core =
           raise (Out_of_order { flow = pkt.Nic.flow; got = pkt.Nic.seq; expected = 0 });
         let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
         Hashtbl.add t.conns pkt.Nic.flow c;
-        t.accepts <- t.accepts + 1;
         Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
         (* The SYN carries the first request: deliver it on the next
            service pass. *)

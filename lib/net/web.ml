@@ -37,10 +37,6 @@ module Mesh = Sky_mesh.Mesh
 
 type transport = Ipc_slowpath | Skybridge
 
-let transport_name = function
-  | Ipc_slowpath -> "slowpath-IPC"
-  | Skybridge -> "SkyBridge"
-
 let default_conns = 120
 let default_requests_per_conn = 8
 let rtt = 2_000 (* wire round trip: client is "one switch away" *)
@@ -51,7 +47,6 @@ let backend_text = 6 * 1024 (* KV server instruction working set *)
 type t = {
   machine : Machine.t;
   kernel : Kernel.t;
-  transport : transport;
   workers : int;
   nic : Nic.t;
   httpd : Httpd.t;
@@ -60,7 +55,6 @@ type t = {
   mesh : Mesh.t option;
   rstats : Retry.stats option;
   fs_cell : Fs.t ref;
-  kv : Kv_server.t;
   wprocs : Proc.t array;
   mutable elapsed : int;  (** busiest worker core's cycles across {!run} *)
 }
@@ -320,7 +314,6 @@ let build ?(variant = Config.Sel4) ?(seed = 42) ?(cores = 8)
   {
     machine = st.st_machine;
     kernel = st.st_kernel;
-    transport;
     workers;
     nic;
     httpd;
@@ -329,7 +322,6 @@ let build ?(variant = Config.Sel4) ?(seed = 42) ?(cores = 8)
     mesh = st.st_mesh;
     rstats = st.st_rstats;
     fs_cell = st.st_fs_cell;
-    kv = st.st_kv;
     wprocs = st.st_worker_procs;
     elapsed = 0;
   }

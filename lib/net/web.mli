@@ -10,8 +10,6 @@
 
 type transport = Ipc_slowpath | Skybridge
 
-val transport_name : transport -> string
-
 type t
 
 val default_conns : int
@@ -46,11 +44,6 @@ val provision_files : Sky_xv6fs.Fs.t -> seed:int -> (string * bytes) array
 (** Create the static files the load mix reads (deterministic printable
     contents) through the server-side FS handle; returns name/content
     pairs for the load generator's response validation. *)
-
-val tenant_keys :
-  seed:int -> tenants:int -> keys_per_tenant:int -> (string * bytes) array array
-(** Deterministic per-tenant warm keyspace for the open-loop generator
-    ([build_open] provisions it server-side before traffic starts). *)
 
 val build :
   ?variant:Sky_ukernel.Config.variant ->

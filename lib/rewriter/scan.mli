@@ -28,9 +28,6 @@ val wrpkru_bytes : bytes
 (** [0F 01 EF] — the WRPKRU encoding the MPK backend's binary audit
     hunts for, exactly as ERIM's inspection pass does. *)
 
-val find_bytes : pattern:bytes -> bytes -> int list
-(** All byte offsets where [pattern] occurs, boundary-oblivious. *)
-
 val find_pattern : ?pattern:bytes -> bytes -> int list
 (** [find_bytes] defaulting to {!vmfunc_bytes}. *)
 
@@ -55,5 +52,4 @@ val scan : ?pattern:bytes -> bytes -> occurrence list
     "the covering instruction {e is} the mechanism instruction" for
     whichever pattern is being scanned. *)
 
-val field_name : field -> string
 val case_name : case -> string

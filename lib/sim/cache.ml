@@ -2,7 +2,6 @@ type t = {
   name : string;
   sets : int;
   ways : int;
-  line_bytes : int;
   index_shift : int;
   sets_shift : int; (* log2 sets, precomputed: access is the simulator's hottest loop *)
   tags : int array; (* sets * ways; -1 = invalid *)
@@ -36,7 +35,6 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     name;
     sets;
     ways;
-    line_bytes;
     index_shift = log2 line_bytes;
     sets_shift = log2 sets;
     tags = Array.make (sets * ways) (-1);
@@ -46,11 +44,6 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     misses = 0;
     missed = Array.make run_max 0;
   }
-
-let name t = t.name
-let sets t = t.sets
-let ways t = t.ways
-let line_bytes t = t.line_bytes
 
 (* Slot search: [-1] for miss. A toplevel function over explicit
    arguments, so a probe builds no closure; [tags] is annotated so the
@@ -122,10 +115,6 @@ let missed t i = t.missed.(i)
 let probe t pa =
   let line = pa lsr t.index_shift in
   find_slot t (line land (t.sets - 1)) (line lsr t.sets_shift) >= 0
-
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0
 
 let hits t = t.hits
 let misses t = t.misses

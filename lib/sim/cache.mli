@@ -12,11 +12,6 @@ val create : name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
 (** Raises [Invalid_argument] unless [size_bytes] is divisible into an
     integral power-of-two number of sets of [ways] lines. *)
 
-val name : t -> string
-val sets : t -> int
-val ways : t -> int
-val line_bytes : t -> int
-
 val access : t -> int -> bool
 (** [access t pa] looks the line containing physical address [pa] up,
     inserting it (evicting the LRU way) on miss. Returns [true] on hit. *)
@@ -44,8 +39,6 @@ val missed : t -> int -> int
 
 val probe : t -> int -> bool
 (** Lookup without inserting or updating LRU state. *)
-
-val flush : t -> unit
 
 val hits : t -> int
 val misses : t -> int

@@ -118,16 +118,3 @@ let reset_stats t =
   Psc.reset_stats t.psc_pde;
   Psc.reset_stats t.ept_walk_cache;
   Pmu.reset t.pmu
-
-let flush_all t =
-  Sky_trace.Trace.instant ~core:t.id ~cat:"ctx" "cpu.flush_all";
-  Cache.flush t.l1i;
-  Cache.flush t.l1d;
-  Cache.flush t.l2;
-  Cache.flush t.l3;
-  Tlb.flush_all t.itlb;
-  Tlb.flush_all t.dtlb;
-  Psc.flush_all t.psc_pml4e;
-  Psc.flush_all t.psc_pdpte;
-  Psc.flush_all t.psc_pde;
-  Psc.flush_all t.ept_walk_cache

@@ -62,6 +62,3 @@ val footprint : t -> footprint
 val reset_stats : t -> unit
 (** Reset counters (not contents — pollution state survives, as on real
     hardware when you reprogram the PMU). *)
-
-val flush_all : t -> unit
-(** Invalidate all private caches and TLBs (power-on state). *)

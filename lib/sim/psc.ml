@@ -13,7 +13,6 @@
 type t = Tlb.t
 
 let create ~name ~entries ~ways = Tlb.create ~name ~entries ~ways
-let name = Tlb.name
 
 let lookup t ~asid ~key =
   let i = Tlb.lookup t ~asid ~vpn:key in
@@ -23,7 +22,6 @@ let insert t ~asid ~key value =
   Tlb.insert t ~asid ~vpn:key ~ppn:value ~writable:false ~user:false
 
 let flush_all = Tlb.flush_all
-let flush_asid = Tlb.flush_asid
 let flush_key t ~key = Tlb.flush_vpn_all_asids t ~vpn:key
 let hits = Tlb.hits
 let misses = Tlb.misses

@@ -8,7 +8,6 @@
 type t
 
 val create : name:string -> entries:int -> ways:int -> t
-val name : t -> string
 
 val lookup : t -> asid:int -> key:int -> int
 (** The payload, or [-1] on a miss (no [option], so a probe allocates
@@ -20,9 +19,6 @@ val insert : t -> asid:int -> key:int -> int -> unit
 
 val flush_all : t -> unit
 (** O(1) generation bump. *)
-
-val flush_asid : t -> asid:int -> unit
-(** O(1) per-ASID floor. *)
 
 val flush_key : t -> key:int -> unit
 (** Invalidate [key] under every ASID (INVLPG drops paging-structure

@@ -22,8 +22,6 @@ type engine =
       (** advance lanes on [jobs] spawned domains (lane [i] on worker
           [i mod jobs]), joining at each boundary *)
 
-val engine_name : engine -> string
-
 val default_quantum : int
 (** 50k simulated cycles: coarse enough to amortize the barrier, fine
     enough that boundary commits (gossip, load rebalance) stay timely. *)

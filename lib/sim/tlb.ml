@@ -46,8 +46,6 @@ let create ~name ~entries ~ways =
   { name; sets; ways; slots; asid_floors = Hashtbl.create 7; gen = 0;
     seen_epoch = Accel.current_epoch (); clock = 0; hits = 0; misses = 0 }
 
-let name t = t.name
-let capacity t = Array.length t.slots
 let set_of t vpn = vpn land (t.sets - 1)
 
 (* Mapping mutations elsewhere in the machine (EPT unmap/remap, guest

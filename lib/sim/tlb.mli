@@ -16,9 +16,6 @@ type t
 
 val create : name:string -> entries:int -> ways:int -> t
 
-val name : t -> string
-val capacity : t -> int
-
 (** {2 Slots}
 
     Lookups return the index of the slot holding the entry ([-1] on a

@@ -63,7 +63,6 @@ let recover kernel fs ~core ~inum ~journal_inum =
   end
   else false
 
-
 let create kernel fs ~core ~name ~value_size =
   let inum = fs.Sky_xv6fs.Fs_iface.create ~core name in
   let journal_inum = fs.Sky_xv6fs.Fs_iface.create ~core (name ^ "-jnl") in
@@ -145,7 +144,6 @@ let delete t ~core ~key =
       compute t ~core sql_compute_cycles;
       Btree.delete t.tree ~core ~key)
 
-let count t = Btree.count t.tree
 let pager t = t.pager
 let tree t = t.tree
 let name t = t.name

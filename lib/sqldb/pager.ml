@@ -113,7 +113,6 @@ let alloc_page t ~core =
   write t ~core page_no (Bytes.make page_size '\000');
   page_no
 
-let npages t = t.npages
 let hits t = t.hits
 let misses t = t.misses
 let page_writes t = t.page_writes

@@ -20,11 +20,6 @@ type stmt =
 
 exception Parse_error of string
 
-val parse : string -> stmt
-(** Case-insensitive keywords; string literals in single quotes with
-    [''] escaping.
-    @raise Parse_error with a human-readable message. *)
-
 type result =
   | Ok_affected of int  (** rows affected (0 or 1) *)
   | Row of string  (** SELECT hit *)

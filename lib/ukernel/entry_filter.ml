@@ -16,25 +16,18 @@
 type t = {
   allowed : (int * int, int) Hashtbl.t;
       (** (client pid, server id) -> granted entry VA *)
-  mutable checks : int;
   mutable denials : int;
 }
 
-let create () = { allowed = Hashtbl.create 64; checks = 0; denials = 0 }
+let create () = { allowed = Hashtbl.create 64; denials = 0 }
 
 let allow t ~pid ~server ~entry = Hashtbl.replace t.allowed (pid, server) entry
 
 let revoke t ~pid ~server = Hashtbl.remove t.allowed (pid, server)
 
-let revoke_server t ~server =
-  Hashtbl.filter_map_inplace
-    (fun (_, s) entry -> if s = server then None else Some entry)
-    t.allowed
-
 (* The trap-time check: charged at Costs.entry_filter_check by the
    caller (the kernel entry path), counted here. *)
 let check t ~pid ~server ~entry =
-  t.checks <- t.checks + 1;
   match Hashtbl.find_opt t.allowed (pid, server) with
   | Some granted when granted = entry -> true
   | _ ->
@@ -48,9 +41,4 @@ let entries t =
     t.allowed []
   |> List.sort compare
 
-let checks t = t.checks
 let denials t = t.denials
-
-let reset_stats t =
-  t.checks <- 0;
-  t.denials <- 0

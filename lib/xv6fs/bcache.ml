@@ -76,6 +76,5 @@ let put t cpu blockno data =
     ignore (get t cpu blockno ~load:(fun () -> data)));
   ()
 
-let invalidate t = Hashtbl.reset t.index
 let hits t = t.hits
 let misses t = t.misses

@@ -63,12 +63,10 @@ let decode_dinode block off =
 
 type t = {
   kernel : Sky_ukernel.Kernel.t;
-  disk : Sky_blockdev.Disk.t;
   sb : Superblock.t;
   bcache : Bcache.t;
   log : Log.t;
   lock : Sky_ukernel.Lock.t;
-  mutable ops : int;  (** completed public operations *)
 }
 
 let cpu t ~core = Sky_ukernel.Kernel.cpu t.kernel ~core
@@ -115,12 +113,10 @@ let mount kernel disk ~core =
   let bcache = Bcache.create machine in
   {
     kernel;
-    disk;
     sb;
     bcache;
     log = Log.create disk sb bcache;
     lock = Sky_ukernel.Lock.create "xv6fs-big-lock";
-    ops = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -345,7 +341,6 @@ let with_op t ~core f =
       match f () with
       | v ->
         Log.end_op t.log (cpu t ~core) ~core;
-        t.ops <- t.ops + 1;
         v
       | exception e ->
         (* A crash mid-transaction leaves the log uncommitted; recovery
@@ -443,7 +438,6 @@ let list_dir t ~core =
              None));
       List.rev !acc)
 
-let ops t = t.ops
 let lock t = t.lock
 let superblock t = t.sb
 

@@ -66,9 +66,6 @@ val unlink : t -> core:int -> string -> bool
 
 val list_dir : t -> core:int -> string list
 
-val ops : t -> int
-(** Completed public operations. *)
-
 val lock : t -> Sky_ukernel.Lock.t
 (** The big lock, exposed for the contention experiments. *)
 

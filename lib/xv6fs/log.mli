@@ -18,9 +18,6 @@ exception Nested_transaction
 
 val create : Sky_blockdev.Disk.t -> Superblock.t -> Bcache.t -> t
 
-val max_blocks : t -> int
-(** Distinct blocks one transaction may dirty (nlog - 1). *)
-
 val begin_op : t -> unit
 (** @raise Nested_transaction if one is already open. *)
 
@@ -28,7 +25,7 @@ val write : t -> int -> bytes -> unit
 (** Record a block write in the transaction (xv6's [log_write]). The log
     takes ownership of the block: the caller must not modify it
     afterwards.
-    @raise Log_full past {!max_blocks} distinct blocks. *)
+    @raise Log_full past [nlog - 1] distinct blocks. *)
 
 val read : t -> Sky_sim.Cpu.t -> core:int -> int -> bytes
 (** Transaction-aware read: pending writes are visible to the
@@ -46,5 +43,3 @@ val recover : Sky_blockdev.Disk.t -> Superblock.t -> core:int -> int
 (** Replay at mount; returns the number of replayed blocks. *)
 
 val commits : t -> int
-val in_tx : t -> bool
-val pending_blocks : t -> int

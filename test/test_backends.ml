@@ -331,7 +331,7 @@ let test_words_per_call () =
         (Printf.sprintf "%s: %d words/call <= %d" (Backend.name backend) words
            pin)
         true (words <= pin))
-    [ (Backend.Vmfunc, 440); (Backend.Mpk, 438); (Backend.Syscall, 444) ]
+    [ (Backend.Vmfunc, 433); (Backend.Mpk, 431); (Backend.Syscall, 437) ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: cross-backend equivalence                                   *)

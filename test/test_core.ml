@@ -472,6 +472,178 @@ let test_exec_nx_enforced () =
     Alcotest.fail "expected NX fetch fault"
   with Sky_mmu.Translate.Page_fault _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* One instruction semantics: Exec (translated, charged memory) and    *)
+(* Interp (flat memory) are two instances of Interp.step               *)
+(* ------------------------------------------------------------------ *)
+
+module I = Sky_isa.Insn
+module R = Sky_isa.Reg
+
+let ilen prog = List.fold_left (fun a i -> a + Sky_isa.Encode.length i) 0 prog
+
+(* XOR sets ZF/SF from its result, as on x86: [xor rax, rax; jz L] takes
+   the branch, and a nonzero XOR clears a ZF that a CMP had set. The
+   skipped [mov rbx, 1] tells whether the branch was taken. *)
+let test_xor_sets_flags () =
+  let tail = [ I.Mov_ri (R.Rbx, 1L) ] in
+  let cases =
+    [ ("xor rax, rax -> jz taken", [ I.Mov_ri (R.Rax, 5L); I.Xor_rr (R.Rax, R.Rax) ], 0L);
+      ( "cmp sets ZF; xor nonzero -> jz not taken",
+        [ I.Mov_ri (R.Rax, 5L); I.Mov_ri (R.Rcx, 3L); I.Cmp_rr (R.Rax, R.Rax);
+          I.Xor_rr (R.Rax, R.Rcx) ],
+        1L ) ]
+  in
+  List.iter
+    (fun (name, prefix, rbx) ->
+      let prog = prefix @ [ I.Jcc (I.E, ilen tail) ] @ tail in
+      let st = Sky_isa.Interp.create () in
+      Sky_isa.Interp.run st (Sky_isa.Encode.encode_all prog);
+      Alcotest.(check int64) ("Interp: " ^ name) rbx (Sky_isa.Interp.get st R.Rbx);
+      let k, _sb = make () in
+      let p = Kernel.spawn k ~name:"p" in
+      ignore (Kernel.map_code k p (Sky_isa.Encode.encode_all (prog @ [ I.Ret ])));
+      Kernel.context_switch k ~core:0 p;
+      let stop, out = Exec.run k ~core:0 ~entry:Layout.code_va () in
+      Alcotest.(check bool) "returned" true (stop = `Returned);
+      Alcotest.(check int64) ("Exec: " ^ name) rbx out.(R.encoding R.Rbx))
+    cases
+
+(* Random non-privileged programs run through both instances must leave
+   identical registers and identical bytes in the data and stack pages.
+   Memory operands are [rbx + rsi*scale + disp] with RBX at a mapped data
+   page, RSI = 8 and disp a multiple of 8 (the machine's 64-bit accesses
+   are aligned); neither (nor RSP) is ever written, so every access
+   stays in the page. Jumps go forward only, to an instruction boundary
+   or to the closing SYSCALL that stops both instances. *)
+type gen_insn = Plain of I.t | Skip of I.cond option * int
+
+let dest_regs =
+  [ R.Rax; R.Rcx; R.Rdx; R.Rbp; R.Rdi; R.R8; R.R9; R.R10; R.R11; R.R12; R.R13;
+    R.R14; R.R15 ]
+
+let gen_program =
+  let open QCheck.Gen in
+  let dst = oneofl dest_regs and src = oneofl R.all in
+  let imm = int_range (-0x7fffffff) 0x7fffffff in
+  let m =
+    map3
+      (fun scale disp idx ->
+        I.mem ~base:R.Rbx ?index:(if idx then Some (R.Rsi, scale) else None) ~disp ())
+      (oneofl [ 1; 2; 4; 8 ]) (map (fun d -> 8 * d) (int_range 0 ((4096 - 8 - 64) / 8))) bool
+  in
+  let rm = oneof [ map (fun r -> I.R r) src; map (fun m -> I.M m) m ] in
+  let plain g = map (fun i -> Plain i) g in
+  let insn =
+    frequency
+      [ (1, plain (return I.Nop));
+        (2, plain (map (fun r -> I.Push r) src));
+        (2, plain (map (fun r -> I.Pop r) dst));
+        (3, plain (map2 (fun a b -> I.Mov_rr (a, b)) dst src));
+        (2, plain (map2 (fun r i -> I.Mov_ri (r, i)) dst (map Int64.of_int int)));
+        (3, plain (map2 (fun r m -> I.Mov_load (r, m)) dst m));
+        (3, plain (map2 (fun m r -> I.Mov_store (m, r)) m src));
+        (2, plain (map2 (fun a b -> I.Add_rr (a, b)) dst src));
+        (2, plain (map2 (fun r i -> I.Add_ri (r, i)) dst imm));
+        (2, plain (map2 (fun r m -> I.Add_rm (r, m)) dst m));
+        (2, plain (map2 (fun r i -> I.Sub_ri (r, i)) dst imm));
+        (3, plain (map2 (fun a b -> I.Xor_rr (a, b)) dst src));
+        (2, plain (map2 (fun a b -> I.And_rr (a, b)) dst src));
+        (2, plain (map2 (fun r i -> I.And_ri (r, i)) dst imm));
+        (2, plain (map2 (fun a b -> I.Or_rr (a, b)) dst src));
+        (2, plain (map2 (fun r i -> I.Or_ri (r, i)) dst imm));
+        (3, plain (map2 (fun a b -> I.Cmp_rr (a, b)) src src));
+        (3, plain (map2 (fun r i -> I.Cmp_ri (r, i)) src imm));
+        (2, plain (map2 (fun a b -> I.Test_rr (a, b)) src src));
+        (2, plain (map2 (fun r i -> I.Shl_ri (r, i)) dst (int_range 0 63)));
+        (2, plain (map2 (fun r i -> I.Shr_ri (r, i)) dst (int_range 0 63)));
+        (1, plain (map (fun r -> I.Inc r) dst));
+        (1, plain (map (fun r -> I.Dec r) dst));
+        (1, plain (map (fun r -> I.Neg r) dst));
+        (2, plain (map3 (fun d s i -> I.Imul_rri (d, s, i)) dst rm (int_range (-1000) 1000)));
+        (2, plain (map2 (fun d s -> I.Imul_rm (d, s)) dst rm));
+        (2, plain (map2 (fun r m -> I.Lea (r, m)) dst m));
+        (1, map (fun n -> Skip (None, n)) (int_range 0 4));
+        ( 4,
+          map2
+            (fun c n -> Skip (Some c, n))
+            (oneofl [ I.E; I.Ne; I.L; I.Ge; I.Le; I.G; I.B; I.Ae ])
+            (int_range 0 4) ) ]
+  in
+  let resolve gs =
+    (* A skip of n jumps over the next n instructions (jumps are rel32,
+       so every length is known before any offset is). *)
+    let as_insn = function
+      | Plain i -> i
+      | Skip (None, _) -> I.Jmp_rel 0
+      | Skip (Some c, _) -> I.Jcc (c, 0)
+    in
+    let rec go = function
+      | [] -> []
+      | g :: rest ->
+        let insn =
+          match g with
+          | Plain i -> i
+          | Skip (c, n) ->
+            let rel =
+              ilen (List.filteri (fun j _ -> j < n) (List.map as_insn rest))
+            in
+            (match c with None -> I.Jmp_rel rel | Some c -> I.Jcc (c, rel))
+        in
+        insn :: go rest
+    in
+    go gs @ [ I.Syscall ]
+  in
+  map2
+    (fun prog (regs, data) -> (resolve prog, regs, data))
+    (list_size (int_range 1 40) insn)
+    (pair (list_repeat 16 (map Int64.of_int int)) (string_size (return 4096)))
+
+let prop_exec_matches_interp =
+  let k, _sb = make () in
+  let p = Kernel.spawn k ~name:"p" in
+  ignore (Kernel.map_code k p (Bytes.make 4096 '\x00'));
+  let data_va = Kernel.map_anon k p 4096 and stack_va = Kernel.map_anon k p 4096 in
+  let code_pa =
+    match
+      Sky_mmu.Page_table.walk ~mem:(Kernel.mem k) ~root_pa:(Proc.cr3 p)
+        ~va:Layout.code_va
+    with
+    | Ok r -> r.Sky_mmu.Page_table.pa
+    | Error _ -> failwith "code page unmapped"
+  in
+  Kernel.context_switch k ~core:0 p;
+  let vcpu = Kernel.vcpu k ~core:0 and mem = Kernel.mem k in
+  let rsp = stack_va + 2048 in
+  let print (prog, _, _) = String.concat "; " (List.map I.to_string prog) in
+  QCheck.Test.make ~name:"Exec.run == Interp.run on random programs" ~count:300
+    (QCheck.make ~print gen_program) (fun (prog, init, data) ->
+      let code = Sky_isa.Encode.encode_all prog in
+      let regs = Array.of_list init in
+      regs.(R.encoding R.Rsp) <- Int64.of_int rsp;
+      regs.(R.encoding R.Rbx) <- Int64.of_int data_va;
+      regs.(R.encoding R.Rsi) <- 8L;
+      (* Interp: flat memory holding the same data page at the same VA. *)
+      let st = Sky_isa.Interp.create ~rsp () in
+      Array.blit regs 0 st.Sky_isa.Interp.regs 0 16;
+      String.iteri
+        (fun i c -> Hashtbl.replace st.Sky_isa.Interp.mem (data_va + i) (Char.code c))
+        data;
+      Sky_isa.Interp.run st code;
+      (* Exec: the same bytes through the MMU. *)
+      Sky_mem.Phys_mem.write_bytes mem code_pa code;
+      Sky_mmu.Translate.write_bytes vcpu mem ~va:data_va (Bytes.of_string data);
+      Sky_mmu.Translate.write_bytes vcpu mem ~va:stack_va (Bytes.make 4096 '\x00');
+      let stop, out = Exec.run k ~core:0 ~entry:Layout.code_va ~regs () in
+      let page va =
+        String.init 4096 (fun i -> Char.chr (Sky_isa.Interp.read_byte st (va + i)))
+      in
+      let mmu_page va = Bytes.to_string (Sky_mmu.Translate.read_bytes vcpu mem ~va ~len:4096) in
+      stop = `Syscall
+      && out = st.Sky_isa.Interp.regs
+      && mmu_page data_va = page data_va
+      && mmu_page stack_va = page stack_va)
+
 let test_meltdown_isolation () =
   (* §7: "SkyBridge can also defeat such attack since it still puts
      different processes into different page tables." A VA mapped in A's
@@ -808,6 +980,9 @@ let () =
           Alcotest.test_case "rewritten attacker runs inert" `Quick
             test_exec_rewritten_attacker_is_inert;
           Alcotest.test_case "NX fetch enforced" `Quick test_exec_nx_enforced;
+          Alcotest.test_case "xor sets flags (Interp and Exec)" `Quick
+            test_xor_sets_flags;
+          QCheck_alcotest.to_alcotest prop_exec_matches_interp;
           Alcotest.test_case "shared frame" `Quick test_trampoline_shared_frame;
           Alcotest.test_case "two clients isolated" `Quick test_two_clients_isolated;
         ] );
