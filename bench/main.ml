@@ -22,7 +22,7 @@ let reproduce () =
   print_newline ();
   List.iter
     (fun e ->
-      Sky_harness.Tbl.print (e.Sky_experiments.Registry.run ());
+      Sky_harness.Tbl.print (e.Sky_experiments.Registry.run ()).Sky_harness.Artifact.table;
       print_newline ())
     Sky_experiments.Registry.all
 

@@ -34,7 +34,7 @@ let () =
 
   (* --- notifications ----------------------------------------------- *)
   print_endline "asynchronous notifications (badged, coalescing)";
-  let irq = Notification.create kernel ~name:"nic-irq" in
+  let irq = Notification.create kernel in
   Notification.signal irq ~core:1 ~badge:0b001;
   Notification.signal irq ~core:1 ~badge:0b100;
   Printf.printf "  two signals from core 1 coalesce: wait() = %#o\n"

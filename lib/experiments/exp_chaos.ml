@@ -242,40 +242,6 @@ let run_chaos ~seed =
   let d = run_mesh ~seed:(seed lxor 0x3e5b) in
   { c_seed = seed; c_scenarios = [ a; b; c; d ] }
 
-let clean c =
-  List.for_all
-    (fun s ->
-      s.s_lost = 0 && s.s_audit = 0
-      && match s.s_fsck with None | Some 0 -> true | Some _ -> false)
-    c.c_scenarios
-
-let census_to_json c =
-  let open Sky_trace.Json in
-  let scenario s =
-    Obj
-      ([
-         ("name", String s.s_name);
-         ("attempts", Int s.s_attempts);
-         ( "injected",
-           Obj (List.map (fun (site, n) -> (site, Int n)) s.s_injected) );
-         ("recovered", Int s.s_recovered);
-         ("degraded", Int s.s_degraded);
-         ("lost", Int s.s_lost);
-         ("restarts", Int s.s_restarts);
-         ("forced_returns", Int s.s_forced_returns);
-         ("security_dropped", Int s.s_sec_dropped);
-         ("audit_violations", Int s.s_audit);
-       ]
-      @ match s.s_fsck with None -> [] | Some n -> [ ("fsck_problems", Int n) ])
-  in
-  to_string
-    (Obj
-       [
-         ("seed", Int c.c_seed);
-         ("clean", Bool (clean c));
-         ("scenarios", List (List.map scenario c.c_scenarios));
-       ])
-
 let census_table c =
   let row s =
     [
@@ -306,4 +272,22 @@ let census_table c =
       ]
     (List.map row c.c_scenarios)
 
-let run () = census_table (run_chaos ~seed:1)
+(* Acceptance: every injected fault is recovered, degraded or surfaced
+   as a typed error — never a lost call, a dirty audit or a broken FS. *)
+let gates c =
+  let zero name f =
+    Gate.check ~name:("chaos." ^ name)
+      ~measured:
+        (String.concat ", "
+           (List.map (fun s -> Printf.sprintf "%s %d" s.s_name (f s)) c.c_scenarios))
+      ~bar:"0 in every scenario"
+      (List.for_all (fun s -> f s = 0) c.c_scenarios)
+  in
+  [
+    zero "lost" (fun s -> s.s_lost);
+    zero "audit" (fun s -> s.s_audit);
+    zero "fsck" (fun s -> Option.value s.s_fsck ~default:0);
+  ]
+
+let output c = { (Artifact.of_table (census_table c)) with gates = gates c }
+let run () = output (run_chaos ~seed:1)

@@ -221,4 +221,31 @@ let to_json r =
          ("cells", List (List.map cell r.r_cells));
        ])
 
-let run () = table (run_matrix ())
+let gates r =
+  let per f =
+    String.concat ", "
+      (List.map (fun c -> Printf.sprintf "%s %s" (Backend.name c.x_kind) (f c)) r.r_cells)
+  in
+  [
+    Gate.check ~name:"matrix.zero_lost"
+      ~measured:(per (fun c -> string_of_int c.x_lost))
+      ~bar:"0 on every backend" (zero_lost r);
+    Gate.check ~name:"matrix.audits_clean"
+      ~measured:(per (fun c -> string_of_int (audit_total c)))
+      ~bar:"0 on every backend" (audits_clean r);
+    Gate.check ~name:"matrix.mpk_beats_vmfunc"
+      ~measured:(per (fun c -> Printf.sprintf "%d cycles/call" (cycles r c.x_kind)))
+      ~bar:"mpk < vmfunc" (mpk_beats_vmfunc r);
+    Gate.check ~name:"matrix.recovered_under_storm"
+      ~measured:
+        (per (fun c ->
+             Printf.sprintf "%d injected/%d restarts" c.x_injected c.x_restarts))
+      ~bar:"both > 0 on every backend" (recovered_under_storm r);
+    Gate.within_budget ~name:"matrix.vmfunc_cycles_per_call" ~section:"pingpong"
+      ~key:"cycles_per_call" ~unit:"cycles/call" (cycles r Backend.Vmfunc);
+  ]
+
+(* Bare: BENCH_matrix.json is itself the witness CI byte-diffs. *)
+let output r =
+  { Artifact.table = table r; json = to_json r; wrap = Bare; gates = gates r }
+let run () = output (run_matrix ())

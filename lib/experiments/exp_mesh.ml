@@ -394,4 +394,38 @@ let to_json r =
          ("ok", Bool (ok r));
        ])
 
-let run () = table (run_mesh ())
+let gates r =
+  let g name ~measured ~bar ok = Gate.check ~name:("mesh." ^ name) ~measured ~bar ok in
+  [
+    g "all_served"
+      ~measured:
+        (Printf.sprintf "%d / %d, %d errors" r.m_responses r.m_expected r.m_errors)
+      ~bar:"all, 0 errors" (all_served r);
+    g "fanned_out"
+      ~measured:
+        (Printf.sprintf "per worker %s, %d steals"
+           (String.concat " " (List.map string_of_int r.m_per_worker))
+           r.m_steals)
+      ~bar:"every worker > 0, steals > 0" (fanned_out r);
+    g "upgraded"
+      ~measured:
+        (Printf.sprintf "kv v1 %d / v2 %d calls, upgrade at %d" r.m_kv_v1 r.m_kv_v2
+           r.m_upgrade_at)
+      ~bar:"both > 0" (upgraded r);
+    g "degraded_cleanly"
+      ~measured:(Printf.sprintf "%d denials" r.m_denials)
+      ~bar:"> 0" (degraded r);
+    g "audits_clean"
+      ~measured:
+        (Printf.sprintf "subkernel %d / mesh %d / fsck %d" r.m_audit r.m_mesh_audit
+           r.m_fsck)
+      ~bar:"0 / 0 / 0" (audits_clean r);
+    g "no_stale_mappings"
+      ~measured:(Printf.sprintf "%d stale" r.m_graph_stale)
+      ~bar:"0" (no_stale r);
+    g "lost" ~measured:(string_of_int r.m_lost) ~bar:"0" (r.m_lost = 0);
+  ]
+
+let output r =
+  { Artifact.table = table r; json = to_json r; wrap = Timed; gates = gates r }
+let run () = output (run_mesh ())

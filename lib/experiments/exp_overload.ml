@@ -357,12 +357,6 @@ let tenants_evicted r =
   && r.r_tenant.t_slow > 0
   && r.r_tenant.t_fast > 0
 
-let ok ?(floor = 0.5) r =
-  zero_lost r
-  && goodput_ratio r >= floor
-  && overload_sheds r
-  && chaos_active r && chaos_clean r && tenants_evicted r
-
 (* ---- rendering ---- *)
 
 let row ?(label = "") p =
@@ -491,8 +485,57 @@ let to_json r =
          ("tenants_evicted", Bool (tenants_evicted r));
        ])
 
-(* Registry entry: a small configuration so `skybench run all` and the
-   test suite stay fast; `skybench overload` runs the full sweep. *)
-let run () =
-  table
-    (run_overload ~workers:2 ~tenants:12 ~total:400 ~scale_tenants:80 ())
+let gates r =
+  let g name ~measured ~bar ok =
+    Gate.check ~name:("overload." ^ name) ~measured ~bar ok
+  in
+  (* The goodput floor is a fraction of saturation, budgeted in percent;
+     without a budget it is one half. *)
+  let floor, floor_src =
+    match Gate.lookup ~section:"overload" ~key:"goodput_floor_pct" () with
+    | Gate.Budget pct -> (float_of_int pct /. 100.0, Gate.budgets)
+    | Gate.No_file | Gate.No_key -> (0.5, "default")
+  in
+  let at_2x = List.find_opt (fun p -> p.p_mult = 2.0) r.r_points in
+  let injected = List.fold_left (fun a (_, n) -> a + n) 0 r.r_chaos.c_injected in
+  let t = r.r_tenant in
+  [
+    g "zero_lost"
+      ~measured:
+        (Printf.sprintf "%d unaccounted point(s), %d corrupt, %d tenant calls lost"
+           (List.length (List.filter (fun p -> not p.p_accounted) (all_points r)))
+           (List.fold_left (fun a p -> a + p.p_corrupt) 0 (all_points r))
+           t.t_lost)
+      ~bar:"0, 0, 0" (zero_lost r);
+    g "goodput_2x"
+      ~measured:(Printf.sprintf "%.3f of saturation" (goodput_ratio r))
+      ~bar:(Printf.sprintf ">= %.2f (%s)" floor floor_src)
+      (goodput_ratio r >= floor);
+    g "sheds_at_2x"
+      ~measured:
+        (match at_2x with
+        | Some p -> Printf.sprintf "%d shed" (p.p_shed + p.p_shed_wire)
+        | None -> "no 2x point")
+      ~bar:"> 0" (overload_sheds r);
+    g "chaos_active"
+      ~measured:(Printf.sprintf "%d faults, %d restarts" injected r.r_chaos.c_restarts)
+      ~bar:">= 3 faults, > 0 restarts" (chaos_active r);
+    g "chaos_clean"
+      ~measured:(Printf.sprintf "audit %d, fsck %d" r.r_chaos.c_audit r.r_chaos.c_fsck)
+      ~bar:"0, 0" (chaos_clean r);
+    g "tenants_evicted"
+      ~measured:
+        (Printf.sprintf "%d LRU + %d slot evictions, %d fast / %d slowpath"
+           t.t_evictions t.t_slot_evictions t.t_fast t.t_slow)
+      ~bar:"all > 0" (tenants_evicted r);
+    Gate.within_budget ~name:"overload.p999_cycles" ~section:"overload"
+      ~key:"p999_cycles" ~unit:"cycles"
+      (match at_2x with Some p -> p.p_p999 | None -> max_int);
+  ]
+
+let output r =
+  { Artifact.table = table r; json = to_json r; wrap = Timed; gates = gates r }
+
+(* Registry entry: the CI configuration, small enough for `skybench run
+   all` and the test suite; `skybench overload` runs the full sweep. *)
+let run () = output (run_overload ~workers:2 ~total:400 ~scale_tenants:80 ())

@@ -15,15 +15,15 @@
 
     Phase B ({e speedup}) runs a larger cluster — [shards × workers]
     sized to the paper's 16-core evaluation box — once under [Seq] and
-    once under [Par], wall-clocking both through a caller-supplied host
-    clock. The speedup gate scales with what the host can actually
-    deliver ([Domain.recommended_domain_count]): ≥2x where four or more
+    once under [Par], wall-clocking both on the host clock. The
+    speedup gate scales with what the host can actually deliver
+    ([Domain.recommended_domain_count]): ≥2x where four or more
     domains are available, a reduced bar for 2–3, and an explicit
     {e waived} verdict on a single-domain host, where no scheduler can
     manufacture parallelism. Wall seconds and the measured speedup are
     host-dependent, so they never appear in the deterministic result —
-    the caller records them next to it (BENCH_parallel.json's ["host"]
-    wrapper). *)
+    the verdict rides next to it (BENCH_parallel.json's ["host"]
+    wrapper) and the speedup gate prints them. *)
 
 open Sky_net
 open Sky_harness
@@ -47,13 +47,10 @@ type result = {
   r_sc_served : int;
   r_sc_quanta : int;
   r_checks : check list;
-  (* Host-dependent: never rendered into the deterministic JSON. *)
+  (* Host-dependent: only the verdict reaches the JSON. *)
   r_host_domains : int;
   r_jobs : int;
-  r_seq_seconds : float;
-  r_par_seconds : float;
-  r_speedup : float;
-  r_gate : string;
+  r_speedup : Gate.t;
 }
 
 (* ---- phase A: equivalence ---- *)
@@ -159,28 +156,47 @@ let build_scale ~seed () =
     ~transport:Web.Skybridge ()
 
 (* The honest gate: a simulator cannot out-parallelize its host. With
-   [d] usable domains the bar is ~0.65x per extra domain up to the 2x
-   the issue demands of a >=4-way host; a single-domain host gets an
-   explicit waiver, not a fake pass. *)
-let gate_of ~domains ~jobs ~seq_seconds ~speedup =
-  if domains <= 1 then "waived:single-host-domain"
-  else if seq_seconds <= 0. then "waived:no-host-clock"
+   [d] usable domains the bar is 0.65x per domain, up to 2x on a >=4-way
+   host; a single-domain host gets an explicit waiver, not a fake pass. *)
+let gate_of ~domains ~jobs ~seq_seconds ~par_seconds =
+  let speedup = if par_seconds > 0. then seq_seconds /. par_seconds else 1.0 in
+  let bar = Float.min 2.0 (0.65 *. float_of_int (min jobs domains)) in
+  let gate ~bar verdict =
+    {
+      Gate.name = "parallel.speedup";
+      measured =
+        Printf.sprintf "%.2fx (seq %.2fs / par %.2fs, %d host domain(s), jobs %d)"
+          speedup seq_seconds par_seconds domains jobs;
+      bar;
+      verdict;
+    }
+  in
+  if domains <= 1 then gate ~bar:"none" (Gate.Waived "single-host-domain")
+  else if seq_seconds <= 0. then gate ~bar:"none" (Gate.Waived "no-host-clock")
   else
-    let bar = Float.min 2.0 (0.65 *. float_of_int (min jobs domains)) in
-    if speedup >= bar then Printf.sprintf "pass:>=%.2fx" bar
-    else Printf.sprintf "fail:<%.2fx" bar
+    gate ~bar:(Printf.sprintf ">=%.2fx" bar)
+      (if speedup >= bar then Gate.Pass else Gate.Fail)
 
-let speedup_phase ~seed ~now ~checks =
+(* The verdict string BENCH_parallel.json carries: "pass:>=1.30x",
+   "fail:<1.30x" or "waived:<reason>". *)
+let verdict g =
+  let bar = g.Gate.bar in
+  match g.Gate.verdict with
+  | Gate.Pass -> "pass:" ^ bar
+  | Gate.Fail -> "fail:<" ^ String.sub bar 2 (String.length bar - 2)
+  | Gate.Waived reason -> "waived:" ^ reason
+
+let speedup_phase ~seed ~checks =
   let domains = Domain.recommended_domain_count () in
   let jobs = max 1 (min sc_shards domains) in
   let seq = build_scale ~seed () in
-  let t0 = now () in
+  let t0 = Unix.gettimeofday () in
   let seq_quanta = Cluster_web.run seq Sky_sim.Quantum.Seq in
-  let seq_seconds = now () -. t0 in
+  let seq_seconds = Unix.gettimeofday () -. t0 in
   let par = build_scale ~seed () in
-  let t1 = now () in
+  let t1 = Unix.gettimeofday () in
   ignore (Cluster_web.run par (Sky_sim.Quantum.Par { jobs }));
-  let par_seconds = now () -. t1 in
+  let par_seconds = Unix.gettimeofday () -. t1 in
   (* The scale cluster must satisfy the same determinism gate. *)
   let ck =
     {
@@ -188,22 +204,17 @@ let speedup_phase ~seed ~now ~checks =
       c_ok = Cluster_web.digest seq = Cluster_web.digest par;
     }
   in
-  let speedup =
-    if par_seconds > 0. then seq_seconds /. par_seconds else 1.0
-  in
   ( seq,
     seq_quanta,
     checks @ [ ck ],
     domains,
     jobs,
-    seq_seconds,
-    par_seconds,
-    speedup )
+    gate_of ~domains ~jobs ~seq_seconds ~par_seconds )
 
-let run_full ?(seed = 42) ?(now = fun () -> 0.) () =
+let run_full ?(seed = 42) () =
   let eq, fired, checks = equivalence ~seed in
-  let sc, sc_quanta, checks, domains, jobs, seq_s, par_s, speedup =
-    speedup_phase ~seed ~now ~checks
+  let sc, sc_quanta, checks, domains, jobs, speedup =
+    speedup_phase ~seed ~checks
   in
   {
     r_seed = seed;
@@ -223,15 +234,10 @@ let run_full ?(seed = 42) ?(now = fun () -> 0.) () =
     r_checks = checks;
     r_host_domains = domains;
     r_jobs = jobs;
-    r_seq_seconds = seq_s;
-    r_par_seconds = par_s;
     r_speedup = speedup;
-    r_gate = gate_of ~domains ~jobs ~seq_seconds:seq_s ~speedup;
   }
 
 let all_identical r = List.for_all (fun c -> c.c_ok) r.r_checks
-let gate_ok r = not (String.length r.r_gate >= 4 && String.sub r.r_gate 0 4 = "fail")
-let ok r = all_identical r && gate_ok r
 
 (* ---- rendering ---- *)
 
@@ -274,8 +280,8 @@ let to_json r =
                 r.r_checks) );
          ("all_identical", Bool (all_identical r));
          (* The verdict string is stable on a given host (raw wall
-            seconds never appear here — they go to stderr). *)
-         ("speedup_gate", String r.r_gate);
+            seconds never appear here — the gate prints them). *)
+         ("speedup_gate", String (verdict r.r_speedup));
        ])
 
 (* Host context for the artifact wrapper: stable on a given host, so the
@@ -287,7 +293,7 @@ let host_json r =
        [
          ("domains", Int r.r_host_domains);
          ("jobs", Int r.r_jobs);
-         ("gate", String r.r_gate);
+         ("gate", String (verdict r.r_speedup));
        ])
 
 let table r =
@@ -302,13 +308,31 @@ let table r =
         Printf.sprintf
           "equivalence: %d shards x %d workers, faults armed; scale: %d x %d"
           r.r_eq_shards r.r_eq_workers r.r_sc_shards r.r_sc_workers;
-        Printf.sprintf
-          "host: %d domain(s), par jobs=%d, speedup %.2fx -> gate %s"
-          r.r_host_domains r.r_jobs r.r_speedup r.r_gate;
+        Printf.sprintf "host: %d domain(s), par jobs=%d, speedup %s"
+          r.r_host_domains r.r_jobs r.r_speedup.Gate.measured;
       ]
     (List.map
        (fun c -> [ c.c_name; (if c.c_ok then "identical" else "MISMATCH") ])
        r.r_checks
-    @ [ [ "speedup-gate"; r.r_gate ] ])
+    @ [ [ "speedup-gate"; verdict r.r_speedup ] ])
 
-let run () = table (run_full ())
+let gates r =
+  [
+    Gate.check ~name:"parallel.equivalence"
+      ~measured:
+        (Printf.sprintf "%d of %d checks identical"
+           (List.length (List.filter (fun c -> c.c_ok) r.r_checks))
+           (List.length r.r_checks))
+      ~bar:"all" (all_identical r);
+    r.r_speedup;
+  ]
+
+let output r =
+  {
+    Artifact.table = table r;
+    json = to_json r;
+    wrap = Host (host_json r);
+    gates = gates r;
+  }
+
+let run () = output (run_full ())

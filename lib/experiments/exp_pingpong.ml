@@ -175,4 +175,22 @@ let to_json r =
     r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
     r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.words_per_call
 
-let run () = table (run_result ())
+(* The perf gate: acceleration must beat the cache-free walker, and
+   cycles and host minor words per call stay within budget + 2 %. *)
+let gates r =
+  [
+    Gate.check ~name:"perf.accel_pays"
+      ~measured:
+        (Printf.sprintf "%d cycles/call on vs %d off" r.cycles_per_call
+           r.cycles_per_call_noaccel)
+      ~bar:"on < off"
+      (r.cycles_per_call < r.cycles_per_call_noaccel);
+    Gate.within_budget ~name:"perf.cycles_per_call" ~section:"pingpong"
+      ~key:"cycles_per_call" ~unit:"cycles/call" r.cycles_per_call;
+    Gate.within_budget ~name:"perf.words_per_call" ~section:"pingpong"
+      ~key:"words_per_call" ~unit:"minor words/call" r.words_per_call;
+  ]
+
+let output r =
+  { Artifact.table = table r; json = to_json r; wrap = Timed; gates = gates r }
+let run () = output (run_result ())

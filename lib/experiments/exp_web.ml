@@ -109,8 +109,6 @@ let all_served r =
       && p.p_ipc.v_responses = want && p.p_ipc.v_errors = 0)
     r.r_points
 
-let ok r = sky_always_ahead r && sky_monotone r && all_served r
-
 (* ---- rendering ---- *)
 
 let table r =
@@ -188,7 +186,41 @@ let to_json r =
          ("all_served", Bool (all_served r));
        ])
 
-(* Registry entry: a small configuration so `skybench run all` and the
-   test suite stay fast; `skybench web` runs the full curve. *)
-let run () =
-  table (run_curve ~cores:4 ~conns:24 ~requests_per_conn:2 ())
+let gates r =
+  let sides = List.concat_map (fun p -> [ p.p_sky; p.p_ipc ]) r.r_points in
+  let least f = List.fold_left (fun a x -> Float.min a (f x)) infinity in
+  let rec steps = function
+    | a :: (b :: _ as rest) -> (b.p_sky.v_tput /. a.p_sky.v_tput) :: steps rest
+    | _ -> []
+  in
+  [
+    Gate.check ~name:"web.all_served"
+      ~measured:
+        (Printf.sprintf "%d of %d runs complete and error-free"
+           (List.length
+              (List.filter
+                 (fun v ->
+                   v.v_responses = r.r_conns * r.r_requests_per_conn
+                   && v.v_errors = 0)
+                 sides))
+           (List.length sides))
+      ~bar:"all" (all_served r);
+    Gate.check ~name:"web.sky_beats_slowpath"
+      ~measured:
+        (Printf.sprintf "least speedup %s"
+           (Tbl.fmt_speedup
+              (least (fun p -> p.p_sky.v_tput /. p.p_ipc.v_tput) r.r_points)))
+      ~bar:"above +0.0% at every worker count" (sky_always_ahead r);
+    Gate.check ~name:"web.monotone_scaling"
+      ~measured:
+        (Printf.sprintf "least step %s"
+           (Tbl.fmt_speedup (least Fun.id (steps r.r_points))))
+      ~bar:"above +0.0% per added worker" (sky_monotone r);
+  ]
+
+let output r =
+  { Artifact.table = table r; json = to_json r; wrap = Timed; gates = gates r }
+
+(* Registry entry: the CI configuration, small enough for `skybench run
+   all` and the test suite; `skybench web` runs the full curve. *)
+let run () = output (run_curve ~cores:4 ~conns:24 ~requests_per_conn:2 ())

@@ -3,39 +3,30 @@
     so the workflow can glob one pattern and benchmark trajectories can
     be compared across commits. *)
 
-let path_of name = Printf.sprintf "BENCH_%s.json" name
+(* What rides next to the payload in the file. [Timed] records the host
+   wall-clock seconds of producing it; [Host] carries host context as a
+   ready-made JSON value; [Bare] writes the payload alone, so the file
+   is itself the byte-determinism witness. Both wrappers keep the
+   simulated result byte-deterministic under "result". *)
+type wrap = Timed | Host of string | Bare
 
-(* [host_seconds] records the host wall-clock cost of producing the
-   result next to the simulated numbers, so benchmark trajectories track
-   both the modelled machine and the simulator itself. [host_json]
-   carries further host-side measurements (parallel speedup, domain
-   counts) as a ready-made JSON value. Both wrap rather than edit
-   [contents]: the simulated result stays byte-deterministic under
-   "result" while host-dependent numbers live alongside it. *)
-let write ~name ?host_seconds ?host_json contents =
-  let path = path_of name in
-  let contents =
-    match (host_seconds, host_json) with
-    | None, None -> contents
-    | _ ->
-      let trimmed = String.trim contents in
-      let fields =
-        (match host_seconds with
-        | Some s -> [ Printf.sprintf "\"host_seconds\":%.3f" s ]
-        | None -> [])
-        @ (match host_json with
-          | Some j -> [ Printf.sprintf "\"host\":%s" j ]
-          | None -> [])
-        @ [
-            Printf.sprintf "\"result\":%s"
-              (if trimmed = "" then "null" else trimmed);
-          ]
-      in
-      Printf.sprintf "{%s}" (String.concat "," fields)
-  in
-  let oc = open_out path in
-  output_string oc contents;
-  if contents = "" || contents.[String.length contents - 1] <> '\n' then
-    output_char oc '\n';
-  close_out oc;
+(* One run of an experiment: the table a reader sees, the payload its
+   artifact archives, and the gates it is judged by. *)
+type t = { table : Tbl.t; json : string; wrap : wrap; gates : Gate.t list }
+
+let of_table table = { table; json = Tbl.to_json table; wrap = Timed; gates = [] }
+
+let write ~name contents =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc contents;
+      if not (String.ends_with ~suffix:"\n" contents) then output_char oc '\n');
   path
+
+let save ~name ~host_seconds t =
+  let wrapped host = Printf.sprintf "{%s,\"result\":%s}" host (String.trim t.json) in
+  write ~name
+    (match t.wrap with
+    | Timed -> wrapped (Printf.sprintf "\"host_seconds\":%.3f" host_seconds)
+    | Host host -> wrapped ("\"host\":" ^ host)
+    | Bare -> t.json)

@@ -5,7 +5,6 @@ exception Would_block
 
 type t = {
   kernel : Kernel.t;
-  name : string;
   mutable word : int;
   mutable first_at : int;
       (** virtual time of the oldest signal since the word was last
@@ -16,8 +15,8 @@ type t = {
   mutable ipis : int;
 }
 
-let create kernel ~name =
-  { kernel; name; word = 0; first_at = -1; waiters = []; signals = 0; waits = 0; ipis = 0 }
+let create kernel =
+  { kernel; word = 0; first_at = -1; waiters = []; signals = 0; waits = 0; ipis = 0 }
 
 let rec kick t ~core = function
   | [] -> ()

@@ -10,7 +10,7 @@
 
 type t
 
-val create : Sky_ukernel.Kernel.t -> name:string -> t
+val create : Sky_ukernel.Kernel.t -> t
 
 val signal : t -> core:int -> badge:int -> unit
 (** Kernel entry + OR the badge in + one IPI per blocked cross-core

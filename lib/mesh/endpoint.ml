@@ -17,14 +17,14 @@ type 'a t = {
   mutable steals : int;
 }
 
-let create ?capacity kernel ~name ~receivers =
+let create ?capacity kernel ~receivers =
   if receivers < 1 then invalid_arg "Endpoint.create: no receivers";
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Endpoint.create: capacity"
   | _ -> ());
   {
     kernel;
-    note = Notification.create kernel ~name;
+    note = Notification.create kernel;
     queues = Array.init receivers (fun _ -> Queue.create ());
     capacity;
     rr = 0;

@@ -16,7 +16,7 @@
 type 'a t
 
 val create :
-  ?capacity:int -> Sky_ukernel.Kernel.t -> name:string -> receivers:int -> 'a t
+  ?capacity:int -> Sky_ukernel.Kernel.t -> receivers:int -> 'a t
 (** [capacity] bounds each receiver's queue for {!try_push} (admission
     control); {!push} itself stays unbounded — reserved for items that
     must not be dropped (crash replays, denial bounces). *)

@@ -180,8 +180,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
   if admission.a_batch_max < 1 then invalid_arg "Httpd.create: batch_max";
   let socks = Socket.create kernel nic in
   let ep =
-    Endpoint.create ?capacity:admission.a_queue_cap kernel
-      ~name:"httpd-endpoint" ~receivers:n
+    Endpoint.create ?capacity:admission.a_queue_cap kernel ~receivers:n
   in
   let workers =
     Array.init n (fun i ->

@@ -70,8 +70,7 @@ let create kernel ~queues:nq =
           rx = alloc_ring kernel;
           tx = alloc_ring kernel;
           irq =
-            Sky_kernels.Notification.create kernel
-              ~name:(Printf.sprintf "nic-rxq%d" id);
+            Sky_kernels.Notification.create kernel;
           pinned_core = id;
           irqs_raised = 0;
         })

@@ -11,7 +11,7 @@ let create ?(cores = 8) ?(mem_mib = 256) () =
     Sky_mem.Phys_mem.create ~frames:(mem_mib * 1024 * 1024 / Sky_mem.Phys_mem.frame_size)
   in
   let l3 =
-    Cache.create ~name:"l3" ~size_bytes:(8 * 1024 * 1024) ~ways:16 ~line_bytes:64
+    Cache.create ~size_bytes:(8 * 1024 * 1024) ~ways:16 ~line_bytes:64
   in
   let t =
     {

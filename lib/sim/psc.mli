@@ -7,7 +7,7 @@
 
 type t
 
-val create : name:string -> entries:int -> ways:int -> t
+val create : entries:int -> ways:int -> t
 
 val lookup : t -> asid:int -> key:int -> int
 (** The payload, or [-1] on a miss (no [option], so a probe allocates

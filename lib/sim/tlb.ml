@@ -19,7 +19,6 @@ type slot = {
 }
 
 type t = {
-  name : string;
   sets : int;
   ways : int;
   slots : slot array;
@@ -33,7 +32,7 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let create ~name ~entries ~ways =
+let create ~entries ~ways =
   if ways <= 0 || entries mod ways <> 0 then
     invalid_arg "Tlb.create: geometry does not divide";
   let sets = entries / ways in
@@ -43,7 +42,7 @@ let create ~name ~entries ~ways =
         { valid = false; gen = 0; asid = 0; vpn = 0; stamp = 0; ppn = 0;
           writable = false; user = false })
   in
-  { name; sets; ways; slots; asid_floors = Hashtbl.create 7; gen = 0;
+  { sets; ways; slots; asid_floors = Hashtbl.create 7; gen = 0;
     seen_epoch = Accel.current_epoch (); clock = 0; hits = 0; misses = 0 }
 
 let set_of t vpn = vpn land (t.sets - 1)

@@ -14,7 +14,7 @@
 
 type t
 
-val create : name:string -> entries:int -> ways:int -> t
+val create : entries:int -> ways:int -> t
 
 (** {2 Slots}
 

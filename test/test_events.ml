@@ -145,7 +145,7 @@ let prop_notification_matches_reference =
        gen_nops)
     (fun (cores, ops) ->
       let k = kernel_with ~cores and rk = kernel_with ~cores in
-      let n = Notification.create k ~name:"n" and r = Ref_notification.create rk in
+      let n = Notification.create k and r = Ref_notification.create rk in
       let result = function
         | Signal (core, badge) ->
           Notification.signal n ~core ~badge;
@@ -405,7 +405,7 @@ let test_events_allocate_nothing () =
   Alcotest.(check bool) "tracing off" false (Sky_trace.Trace.is_enabled ());
   Alcotest.(check bool) "faults off" false (Sky_faults.Fault.is_enabled ());
   let k = kernel_with ~cores:2 in
-  let n = Notification.create k ~name:"n" in
+  let n = Notification.create k in
   check_no_alloc "1k signals" (fun () ->
       for i = 1 to 1000 do
         Notification.signal n ~core:(i land 1) ~badge:(i land 7)

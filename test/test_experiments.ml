@@ -234,7 +234,7 @@ let test_ablation_directions () =
 (* ------------------------------------------------------------------ *)
 
 let test_experiments_deterministic () =
-  let render e = Sky_harness.Tbl.render (e.Registry.run ()) in
+  let render e = Sky_harness.Tbl.render (e.Registry.run ()).Sky_harness.Artifact.table in
   List.iter
     (fun id ->
       match Registry.find id with

@@ -108,7 +108,7 @@ let prop_cap_rights_never_amplify =
 
 let test_notification_signal_wait () =
   let k, _ = make () in
-  let n = Notification.create k ~name:"irq" in
+  let n = Notification.create k in
   Notification.signal n ~core:0 ~badge:0b01;
   Alcotest.(check int) "wait gets badge" 0b01 (Notification.wait n ~core:0);
   try
@@ -118,7 +118,7 @@ let test_notification_signal_wait () =
 
 let test_notification_coalesce () =
   let k, _ = make () in
-  let n = Notification.create k ~name:"n" in
+  let n = Notification.create k in
   Notification.signal n ~core:0 ~badge:0b001;
   Notification.signal n ~core:0 ~badge:0b100;
   Notification.signal n ~core:0 ~badge:0b100;
@@ -127,7 +127,7 @@ let test_notification_coalesce () =
 
 let test_notification_poll () =
   let k, _ = make () in
-  let n = Notification.create k ~name:"n" in
+  let n = Notification.create k in
   Alcotest.(check (option int)) "empty poll" None (Notification.poll n ~core:0);
   Notification.signal n ~core:0 ~badge:7;
   Alcotest.(check (option int)) "poll consumes" (Some 7) (Notification.poll n ~core:0);
@@ -135,7 +135,7 @@ let test_notification_poll () =
 
 let test_notification_cross_core_timing () =
   let k, _ = make () in
-  let n = Notification.create k ~name:"n" in
+  let n = Notification.create k in
   (* Signaler far ahead on core 1: the core-0 waiter must advance to the
      signal's delivery time. *)
   Sky_sim.Cpu.charge (Kernel.cpu k ~core:1) 100_000;
@@ -147,7 +147,7 @@ let test_notification_cross_core_timing () =
 
 let test_notification_multi_waiter_coalesce () =
   let k, _ = make () in
-  let n = Notification.create k ~name:"nic-irq" in
+  let n = Notification.create k in
   (* Two cores block in recv, the NIC IRQ consumer path. *)
   Alcotest.(check (option int)) "core 1 blocks" None
     (Notification.wait_blocking ~polls:0 n ~core:1);

@@ -46,6 +46,40 @@ let test_speedup_format () =
   Alcotest.(check string) "+50%" "+50.0%" (Tbl.fmt_speedup 1.5);
   Alcotest.(check string) "-10%" "-10.0%" (Tbl.fmt_speedup 0.9)
 
+(* The budget gate: measured <= budget * 102 / 100 passes; a budget
+   file without the key fails; no budget file waives, still showing the
+   measurement. *)
+let with_budgets contents f =
+  let file = Filename.temp_file "budgets" ".json" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
+let budget_gate ~file measured =
+  Gate.within_budget ~file ~name:"t" ~section:"s" ~key:"k" ~unit:"cycles" measured
+
+let test_budget_edge () =
+  with_budgets {|{"s": {"k": 1000}}|} @@ fun file ->
+  Alcotest.(check bool) "1020 = 1000 + 2% passes" true
+    ((budget_gate ~file 1020).Gate.verdict = Gate.Pass);
+  Alcotest.(check bool) "1021 fails" true
+    ((budget_gate ~file 1021).Gate.verdict = Gate.Fail)
+
+let test_budget_missing_key () =
+  with_budgets {|{"s": {"other": 1000}}|} @@ fun file ->
+  let g = budget_gate ~file 1 in
+  Alcotest.(check bool) "missing key fails" true (g.Gate.verdict = Gate.Fail);
+  Alcotest.(check bool) "command fails" true (Gate.failed [ g ])
+
+let test_budget_missing_file () =
+  let g = budget_gate ~file:"no/such/budgets.json" 1234 in
+  Alcotest.(check bool) "missing file waives" true
+    (g.Gate.verdict = Gate.Waived "no/such/budgets.json not found");
+  Alcotest.(check bool) "a waiver does not fail" false (Gate.failed [ g ]);
+  Alcotest.(check string) "printed with its measurement"
+    "gate t: waived:no/such/budgets.json not found (measured 1234 cycles; bar \
+     none)"
+    (Gate.to_string g)
+
 let () =
   Alcotest.run "harness"
     [
@@ -55,5 +89,11 @@ let () =
           Alcotest.test_case "render alignment" `Quick test_render_alignment;
           Alcotest.test_case "markdown" `Quick test_markdown;
           Alcotest.test_case "speedup format" `Quick test_speedup_format;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "budget + 2% edge" `Quick test_budget_edge;
+          Alcotest.test_case "missing key fails" `Quick test_budget_missing_key;
+          Alcotest.test_case "missing file waives" `Quick test_budget_missing_file;
         ] );
     ]

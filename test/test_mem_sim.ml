@@ -159,7 +159,7 @@ let prop_alloc_no_overlap =
 (* ------------------------------------------------------------------ *)
 
 let small_cache () =
-  Cache.create ~name:"t" ~size_bytes:(4 * 64 * 2) ~ways:2 ~line_bytes:64
+  Cache.create ~size_bytes:(4 * 64 * 2) ~ways:2 ~line_bytes:64
 (* 4 sets, 2 ways *)
 
 let test_cache_hit_after_access () =
@@ -194,7 +194,7 @@ let test_cache_stats () =
 
 let test_cache_geometry_validation () =
   try
-    ignore (Cache.create ~name:"bad" ~size_bytes:100 ~ways:3 ~line_bytes:64);
+    ignore (Cache.create ~size_bytes:100 ~ways:3 ~line_bytes:64);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -235,7 +235,7 @@ let prop_cache_run_exact =
     (QCheck.make ~print gen)
     (fun (ways, sets_log, warm, start, n, follow) ->
       let mk () =
-        Cache.create ~name:"p" ~size_bytes:((1 lsl sets_log) * ways * 64) ~ways
+        Cache.create ~size_bytes:((1 lsl sets_log) * ways * 64) ~ways
           ~line_bytes:64
       in
       let ref1 = mk () and ref2 = mk () and run1 = mk () and run2 = mk () in
@@ -274,7 +274,7 @@ let test_cache_run_bounds () =
 (* Tlb                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let tlb () = Tlb.create ~name:"t" ~entries:8 ~ways:2
+let tlb () = Tlb.create ~entries:8 ~ways:2
 
 (* Insert a user-writable entry; look one up as [Some ppn] or [None]. *)
 let insert t ~asid ~vpn ppn = Tlb.insert t ~asid ~vpn ~ppn ~writable:true ~user:true

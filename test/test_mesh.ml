@@ -239,7 +239,7 @@ let prop_endpoint_conservation =
     (fun ops ->
       let machine = Machine.create ~cores:4 ~mem_mib:32 () in
       let kernel = Kernel.create machine in
-      let ep = Endpoint.create kernel ~name:"qc" ~receivers:4 in
+      let ep = Endpoint.create kernel ~receivers:4 in
       let pushed = ref [] and popped = ref [] in
       let next = ref 0 in
       List.iter

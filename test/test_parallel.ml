@@ -128,6 +128,32 @@ let replica_harness () =
   in
   Alcotest.(check bool) "divergent replicas detected" true diverged
 
+(* The speedup verdict, rendered exactly as BENCH_parallel.json carries
+   it: a waiver without a second domain or a host clock, else the bar
+   0.65x per domain (up to 2x), met at equality. *)
+let speedup_verdict () =
+  let module X = Sky_experiments.Exp_parallel in
+  let module Gate = Sky_harness.Gate in
+  let check name want ~domains ~jobs ~seq_seconds ~par_seconds =
+    let g = X.gate_of ~domains ~jobs ~seq_seconds ~par_seconds in
+    Alcotest.(check string) name want (X.verdict g);
+    Alcotest.(check bool) (name ^ ": fails only below the bar")
+      (String.starts_with ~prefix:"fail" want)
+      (Gate.failed [ g ])
+  in
+  check "one domain" "waived:single-host-domain" ~domains:1 ~jobs:1
+    ~seq_seconds:1.0 ~par_seconds:1.0;
+  check "no host clock" "waived:no-host-clock" ~domains:2 ~jobs:2
+    ~seq_seconds:0.0 ~par_seconds:0.0;
+  check "below the bar" "fail:<1.30x" ~domains:2 ~jobs:2 ~seq_seconds:1.29
+    ~par_seconds:1.0;
+  check "at the bar" "pass:>=1.30x" ~domains:2 ~jobs:2 ~seq_seconds:1.3
+    ~par_seconds:1.0;
+  check "capped at 2x" "pass:>=2.00x" ~domains:8 ~jobs:4 ~seq_seconds:2.0
+    ~par_seconds:1.0;
+  check "jobs below domains" "fail:<1.95x" ~domains:4 ~jobs:3 ~seq_seconds:1.9
+    ~par_seconds:1.0
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -138,5 +164,6 @@ let () =
         [
           t "scale cluster digest" scale_anchor;
           t "replica harness" replica_harness;
+          t "speedup verdict" speedup_verdict;
         ] );
     ]

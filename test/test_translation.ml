@@ -485,7 +485,7 @@ let lookup t ~asid ~vpn =
   if i < 0 then None else Some (Tlb.ppn t i)
 
 let test_tlb_flush_all_then_reuse () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   insert t ~asid:1 ~vpn:5 100;
   insert t ~asid:2 ~vpn:9 200;
   Tlb.flush_all t;
@@ -497,7 +497,7 @@ let test_tlb_flush_all_then_reuse () =
     (lookup t ~asid:1 ~vpn:5 = Some 300)
 
 let test_tlb_flush_asid_is_selective () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   insert t ~asid:1 ~vpn:5 100;
   insert t ~asid:2 ~vpn:5 200;
   Tlb.flush_asid t ~asid:1;
@@ -510,7 +510,7 @@ let test_tlb_flush_asid_is_selective () =
     (lookup t ~asid:1 ~vpn:5 = Some 300)
 
 let test_psc_flush_key_all_asids () =
-  let p = Psc.create ~name:"p" ~entries:16 ~ways:4 in
+  let p = Psc.create ~entries:16 ~ways:4 in
   Psc.insert p ~asid:1 ~key:7 100;
   Psc.insert p ~asid:2 ~key:7 200;
   Psc.insert p ~asid:1 ~key:8 300;
@@ -521,7 +521,7 @@ let test_psc_flush_key_all_asids () =
     (Psc.lookup p ~asid:1 ~key:8 = 300)
 
 let test_accel_toggle_flushes_everything () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   insert t ~asid:1 ~vpn:5 100;
   let saved = Accel.is_enabled () in
   Fun.protect

@@ -5,40 +5,42 @@
 #
 #   sh tools/check_artifacts.sh
 #
-# Covers `skybench run <id> --json` for the experiments below and
-# `skybench perf --json` (BENCH_pingpong.json comes from `perf`, the
-# gated pingpong run, not from `run pingpong`).  The comparison is
-# `jq -S '.result // .'`, so `host_seconds` (host wall-clock) is ignored
-# and every simulated number must match exactly.  Exit 1 on any
-# difference, naming the artifact and showing the diff.
+# Covers `skybench run <id> --json` for the experiments below; each
+# registry entry runs its CI configuration, so it writes the committed
+# artifact's schema (BENCH_pingpong.json included) and applies its gates
+# against a copy of bench/budgets.json.  `parallel` stays out: its
+# speedup gate fails on hosts without real spare cores, and its verdict
+# string is host-dependent.  The comparison is `jq -S '.result // .'`,
+# so `host_seconds` (host wall-clock) is ignored and every simulated
+# number must match exactly.  Exit 1 on any difference, naming the
+# artifact and showing the diff.
 set -eu
 cd "$(dirname "$0")/.."
 root=$(pwd)
 
 runs="table1 table2 fig2 fig7 fig8 table4 fig9 fig10 fig11 table5 table6
-gadgets ablation monolithic tempmap scheduling ycsbmix"
+gadgets ablation monolithic tempmap scheduling ycsbmix web mesh overload
+matrix chaos pingpong"
 
 dune build ./bin/skybench.exe
 sky="$root/_build/default/bin/skybench.exe"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/bench"
+cp bench/budgets.json "$tmp/bench/"
 
 # Each command's own output goes to a log, shown only if it fails.
-gen() {
-  if ! (cd "$tmp" && "$sky" "$@" >"$tmp/log" 2>&1); then
+for id in $runs; do
+  if ! (cd "$tmp" && "$sky" run "$id" --json >"$tmp/log" 2>&1); then
     cat "$tmp/log"
-    echo "FAILED skybench $*"
+    echo "FAILED skybench run $id --json"
     exit 1
   fi
-}
-for id in $runs; do
-  gen run "$id" --json
 done
-gen perf --json --budgets "$root/bench/budgets.json"
 
 bad=0
 checked=0
-for id in $runs pingpong; do
+for id in $runs; do
   f="BENCH_$id.json"
   checked=$((checked + 1))
   if [ ! -f "$tmp/$f" ]; then
